@@ -4,12 +4,17 @@ Two evaluation branches are used:
 
 * an adaptively truncated power series, summed outward from its largest term
   in log space so that neither large orders nor large arguments overflow, and
-* the large-argument exponential-scaled asymptotic expansion.
+* the large-argument exponential-scaled (Hankel) asymptotic expansion.
 
 Both branches compute ``ln(exp(-z) I_nu(z))``; the unscaled value is recovered
 by exponentiation where representable.  All terms of the power series are
 positive, so the series branch carries no cancellation and is accurate to
 near machine precision for any admissible order.
+
+The same series pass gives ``I_{nu+1}(z) / I_nu(z)``: term k of the I_{nu+1}
+series is term k of the I_nu series times (z/2) / (k + nu + 1), so one more
+accumulator suffices.  In the Hankel region the ratio is the quotient of the
+two asymptotic sums.
 """
 
 from __future__ import annotations
@@ -34,19 +39,21 @@ def _check_args(nu: float, z: np.ndarray) -> None:
         raise ParameterError("Bessel argument must be finite and nonnegative")
 
 
-def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Peak-centered log-space summation of the power series for ln(e^-z I_nu)."""
+def _ive_series(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peak-centered power series: ``(ln(e^-z I_nu), I_{nu+1} / I_nu)``."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty_like(z)
+    ratio = np.zeros_like(z)
 
-    zero = z == 0.0
-    out[zero] = 0.0 if nu == 0.0 else -np.inf
+    zero = z == 0.0  # only the k = 0 term (z/2)^nu / Gamma(nu + 1) is left
+    out[zero] = 0.0 if nu == 0.0 else (np.inf if nu < 0.0 else -np.inf)
     pos = ~zero
     if not np.any(pos):
-        return out
+        return out, ratio
 
     zp = z[pos]
-    logh = np.log(0.5 * zp)
+    half = 0.5 * zp
+    logh = np.log(half)
     # Index of the largest series term; the terms are unimodal in k.
     kstar = np.floor(0.5 * (np.sqrt(nu * nu + zp * zp) - nu)).astype(np.int64)
     kstar = np.maximum(kstar, 0)
@@ -54,12 +61,18 @@ def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
 
     total = np.ones_like(zp)
     h2 = np.exp(2.0 * logh)
+    # shifted sums term_k / (k + nu + 1), the I_{nu+1} series over z/2.  Its term
+    # k - 1 is term_k * k / h2; h2 underflows only where kstar = 0 and so k = 0.
+    shifted = np.zeros_like(zp)
+    inv_h2 = 1.0 / np.maximum(h2, np.finfo(float).tiny)
 
     # Upward from the peak.
     term = np.ones_like(zp)
     k = kstar.astype(float)
     for _ in range(_MAX_TERMS):
-        term = term * h2 / ((k + 1.0) * (k + nu + 1.0))
+        d = k + nu + 1.0
+        shifted += term / d
+        term = term * h2 / ((k + 1.0) * d)
         total += term
         k += 1.0
         if np.all(term <= _SERIES_RTOL * total):
@@ -70,17 +83,25 @@ def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
     k = kstar.astype(float)
     active = k > 0
     while np.any(active):
-        term = np.where(active, term * k * (k + nu) / h2, 0.0)
+        tk = term * k
+        shifted += tk * inv_h2
+        term = np.where(active, tk * (k + nu) / h2, 0.0)
         total += term
         k -= 1.0
         active = (k > 0) & (term > _SERIES_RTOL * total)
 
     out[pos] = log_peak + np.log(total) - zp
-    return out
+    ratio[pos] = half * shifted / total
+    return out, ratio
 
 
-def _log_ive_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
-    """Exponential-scaled asymptotic expansion, truncated at its smallest term."""
+def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
+    """``ln(e^-z I_nu)`` from :func:`_ive_series`, discarding the ratio."""
+    return _ive_series(nu, z)[0]
+
+
+def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
+    """Asymptotic sum S with ``e^-z I_nu(z) ~ S / sqrt(2 pi z)``, cut at its smallest term."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     mu = 4.0 * nu * nu
     total = np.ones_like(z)
@@ -96,7 +117,12 @@ def _log_ive_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
             break
         total += np.where(grow, 0.0, term)
         prev = mag
-    return -0.5 * np.log(2.0 * np.pi * z) + np.log(total)
+    return total
+
+
+def _log_ive_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
+    """Exponential-scaled asymptotic expansion of ``ln(e^-z I_nu)``."""
+    return -0.5 * np.log(2.0 * np.pi * z) + np.log(_hankel_sum(nu, z))
 
 
 def log_bessel_iv_scaled(nu: float, z):
@@ -132,10 +158,15 @@ def bessel_iv(nu: float, z):
     return out if np.ndim(z) else float(out[0])
 
 
-def bessel_ratio(nu: float, z, order_shift: int = 1):
-    """Return ``I_{nu+order_shift}(z) / I_nu(z)`` elementwise, overflow-free."""
+def bessel_ratio(nu: float, z):
+    """Return ``I_{nu+1}(z) / I_nu(z)`` elementwise, overflow-free; 0 at z = 0."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.exp(
-        log_bessel_iv_scaled(nu + order_shift, z_arr) - log_bessel_iv_scaled(nu, z_arr)
-    )
+    _check_args(nu, z_arr)
+    out = np.empty_like(z_arr)
+    asym = (z_arr >= _ASYM_Z_MIN) & ((nu + 1.0) ** 2 <= z_arr)
+    if np.any(asym):
+        za = z_arr[asym]
+        out[asym] = _hankel_sum(nu + 1.0, za) / _hankel_sum(nu, za)
+    if np.any(~asym):
+        out[~asym] = _ive_series(nu, z_arr[~asym])[1]
     return out if np.ndim(z) else float(out[0])

@@ -88,13 +88,21 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def model_from_config(values: dict[str, str]) -> ModelParams:
-    """Build model parameters from ``model.*`` keys."""
+def _convert(path: str, key: str, raw, kind=float):
+    """Convert one config value; a malformed one is a ConfigurationError naming file and key."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigurationError(f"{path}: {key} = {raw!r} is not a valid {kind.__name__}") from None
+
+
+def model_from_config(values: dict[str, str], path: str) -> ModelParams:
+    """Build model parameters from the ``model.*`` keys of config file ``path``."""
     kwargs = {}
     for name in ("s0", "v0", "kappa", "theta", "xi", "rho", "r", "q"):
         key = f"model.{name}"
         if key in values:
-            kwargs[name] = float(values[key])
+            kwargs[name] = _convert(path, key, values[key])
     missing = {"s0", "v0", "kappa", "theta", "xi", "rho"} - kwargs.keys()
     if missing:
         raise ConfigurationError(f"config missing keys: {sorted('model.' + m for m in missing)}")
@@ -105,11 +113,11 @@ def _resolve_case(args) -> tuple[str, ModelParams, float, float]:
     """Return (label, model, maturity, strike) from --case or --params."""
     if getattr(args, "params", None):
         values = parse_config_file(args.params)
-        model = model_from_config(values)
-        maturity = float(values.get("product.maturity", "0") or 0)
+        model = model_from_config(values, args.params)
+        maturity = _convert(args.params, "product.maturity", values.get("product.maturity", 0))
         if maturity <= 0:
             raise ConfigurationError("config must set product.maturity > 0")
-        strike = float(values.get("product.strike", model.s0))
+        strike = _convert(args.params, "product.strike", values.get("product.strike", model.s0))
         return "custom", model, maturity, strike
     if getattr(args, "case", None):
         preset = get_case(args.case)
@@ -140,10 +148,10 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _grid_values(values: dict[str, str], key: str, default: float) -> list[float]:
+def _grid_values(values: dict[str, str], key: str, default: float, path: str) -> list[float]:
     if key not in values:
         return [default]
-    return [float(tok) for tok in values[key].split(",") if tok.strip()]
+    return [_convert(path, key, tok) for tok in values[key].split(",") if tok.strip()]
 
 
 def specs_from_config(values: dict[str, str], args) -> list[ExperimentSpec]:
@@ -152,25 +160,28 @@ def specs_from_config(values: dict[str, str], args) -> list[ExperimentSpec]:
     ``grid.xi`` and ``grid.kappa`` are comma-separated lists whose cross
     product generates one experiment per parameter combination.
     """
-    base = model_from_config(values)
-    maturity = float(values.get("product.maturity", "0") or 0)
+    path = args.params
+    base = model_from_config(values, path)
+    maturity = _convert(path, "product.maturity", values.get("product.maturity", 0))
     if maturity <= 0:
         raise ConfigurationError("config must set product.maturity > 0")
-    strike = float(values.get("product.strike", base.s0))
+    strike = _convert(path, "product.strike", values.get("product.strike", base.s0))
+    run = {name: _convert(path, f"run.{name}", values.get(f"run.{name}", getattr(args, name)), int)
+           for name in ("trunc_k", "steps", "paths", "reps", "seed", "jobs")}
     scheme = values.get("run.scheme", args.scheme)
     if scheme not in _SCHEME_FLAGS:
         raise ConfigurationError(f"unknown run.scheme {scheme!r}")
     kind = _SCHEME_FLAGS[scheme]
     cfg = SchemeConfig(
         kind=kind,
-        trunc_k=int(values.get("run.trunc_k", args.trunc_k)),
-        n_steps=int(values.get("run.steps", args.steps)),
+        trunc_k=run["trunc_k"],
+        n_steps=run["steps"],
         martingale_mode="price" if kind in ("qem", "pois_td") else "none",
     )
     specs = []
     grid = "grid.xi" in values or "grid.kappa" in values
-    for xi in _grid_values(values, "grid.xi", base.xi):
-        for kappa in _grid_values(values, "grid.kappa", base.kappa):
+    for xi in _grid_values(values, "grid.xi", base.xi, path):
+        for kappa in _grid_values(values, "grid.kappa", base.kappa, path):
             model = replace(base, xi=xi, kappa=kappa)
             label = f"custom[xi={xi:g},kappa={kappa:g}]" if grid else "custom"
             specs.append(
@@ -180,12 +191,12 @@ def specs_from_config(values: dict[str, str], args) -> list[ExperimentSpec]:
                     maturity=maturity,
                     product="european_call",
                     configs=(cfg,),
-                    n_paths=int(values.get("run.paths", args.paths)),
-                    n_reps=int(values.get("run.reps", args.reps)),
-                    seed=int(values.get("run.seed", args.seed)),
+                    n_paths=run["paths"],
+                    n_reps=run["reps"],
+                    seed=run["seed"],
                     strike=strike,
                     benchmark="fourier",
-                    n_jobs=int(values.get("run.jobs", args.jobs)),
+                    n_jobs=run["jobs"],
                 )
             )
     return specs

@@ -261,12 +261,14 @@ class IvMoments:
 
 
 def eta_moments(v0, v_t, model: ModelParams, h: float):
-    """Mean and variance of the Bessel count given the variance endpoints."""
+    """Mean and variance of the Bessel count given the variance endpoints.
+
+    With r1 = I_{nu+1}(z)/I_nu(z), the recurrence I_{nu+2}/I_nu = 1 - 2(nu+1) r1/z
+    gives var = z^2/4 - nu*mean - mean^2 from mean = z r1/2.
+    """
     z = np.sqrt(np.asarray(v0, float) * np.asarray(v_t, float)) * phi(model.kappa, h, model.xi)
-    r1 = bessel_ratio(model.nu, z, 1)
-    r2 = bessel_ratio(model.nu, z, 2)
-    mean = 0.5 * z * r1
-    var = 0.25 * z * z * r2 + mean - mean * mean
+    mean = 0.5 * z * bessel_ratio(model.nu, z)
+    var = 0.25 * z * z - model.nu * mean - mean * mean
     return mean, var
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -16,6 +17,11 @@ def test_zero_argument():
     assert bessel_iv(0.0, 0.0) == 1.0
     assert bessel_iv(0.5, 0.0) == 0.0
     assert bessel_iv(3.0, 0.0) == 0.0
+    # For -1 < nu < 0 the k = 0 term (z/2)^nu / Gamma(nu + 1) has a pole at 0.
+    assert log_bessel_iv_scaled(-0.5, 0.0) == np.inf
+    assert bessel_iv(-0.5, 0.0) == np.inf
+    for nu in (-0.5, 0.0, 0.5, 3.0):
+        assert bessel_ratio(nu, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, 100.0, 600.0])
@@ -65,7 +71,17 @@ def test_large_argument_no_overflow():
 def test_ratio_matches_scipy():
     for nu, z in [(0.0, 0.5), (-0.366, 4.0), (1.5, 60.0), (0.634, 2000.0)]:
         ref = sp.ive(nu + 1, z) / sp.ive(nu, z)
-        np.testing.assert_allclose(bessel_ratio(nu, z, 1), ref, rtol=1e-9)
+        np.testing.assert_allclose(bessel_ratio(nu, z), ref, rtol=1e-9)
+
+
+@pytest.mark.parametrize("nu", [-0.99, -0.5, 0.0, 0.634, 4.0, 49.0, 199.0, 400.0])
+def test_ratio_against_mpmath(nu):
+    # The arguments cross the series/Hankel boundary at z = 50; nu = 199 is
+    # the largest order of the grid4 sweep (xi = 0.1, kappa = 4, theta = 0.25).
+    zs = np.array([1e-6, 1e-3, 1.0, 20.0, 49.9, 50.0, 120.0, 2e3, 1e5])
+    with mpmath.workdps(50):
+        ref = [float(mpmath.besseli(nu + 1, z) / mpmath.besseli(nu, z)) for z in zs]
+    np.testing.assert_allclose(bessel_ratio(nu, zs), ref, rtol=1e-13)
 
 
 def test_vectorized_argument():

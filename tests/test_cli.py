@@ -172,3 +172,23 @@ def test_missing_config_file_is_runtime_error(capsys):
     code, _, err = _run(capsys, "exact", "--params", "/nonexistent/file.cfg")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "extra,key",
+    [("model.s0 = abc", "model.s0"),
+     ("product.maturity = one", "product.maturity"),
+     ("run.scheme = pois-ge\nproduct.strike = 1O0", "product.strike"),
+     ("run.scheme = pois-ge\nrun.paths = 1e5", "run.paths"),
+     ("grid.xi = 0.5, x", "grid.xi")],
+    ids=["model", "maturity", "strike", "run-int", "grid"],
+)
+def test_malformed_config_value_is_runtime_error(tmp_path, capsys, extra, key):
+    # A later line overrides an earlier one; run.* and grid.* keys switch to
+    # the config-driven experiment path.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CASE_III_CONFIG + extra + "\n")
+    code, _, err = _run(capsys, "price", "--params", str(cfg), "--scheme", "pois-ge",
+                        "--paths", "100", "--reps", "1")
+    assert code == 1
+    assert err.startswith("error:") and str(cfg) in err and key in err

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import polygamma
@@ -205,6 +206,35 @@ def test_eta_moments_positive():
     m = CASE_PRESETS["I"].model
     mean, var = eta_moments(0.04, 0.04, m, 10.0)
     assert mean > 0 and var > 0
+
+
+@pytest.mark.parametrize("case", ["I", "IV"])
+def test_eta_moments_zero_endpoint(case):
+    # BES(nu, 0) is a point mass at 0, also for -1 < nu < 0 where I_nu(0) = inf.
+    assert eta_moments(0.0, 0.04, CASE_PRESETS[case].model, 1.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [CASE_PRESETS["I"].model, CASE_PRESETS["III"].model, CASE_PRESETS["IV"].model,
+     ModelParams(s0=100, v0=0.25, kappa=4.0, theta=0.25, xi=0.1, rho=-0.5)],
+    ids=["I", "III", "IV", "nu199"],
+)
+def test_eta_moments_against_mpmath(m):
+    h = 1.0
+    ph = phi(m.kappa, h, m.xi)
+    v = np.array([1e-6, 1e-3, 1.0, 20.0, 49.9, 50.0, 120.0, 2e3, 1e5]) / ph
+    mean, var = eta_moments(v, v, m, h)
+    ref_mean, ref_var = [], []
+    with mpmath.workdps(50):
+        for z in np.sqrt(v * v) * ph:
+            z = mpmath.mpf(float(z))
+            i0 = mpmath.besseli(m.nu, z)
+            e = 0.5 * z * mpmath.besseli(m.nu + 1, z) / i0
+            ref_mean.append(float(e))
+            ref_var.append(float(0.25 * z * z * mpmath.besseli(m.nu + 2, z) / i0 + e - e * e))
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-13)
+    np.testing.assert_allclose(var, ref_var, rtol=1e-9)
 
 
 @pytest.mark.parametrize("laplace", [cond_laplace_pois, cond_laplace_bk])
