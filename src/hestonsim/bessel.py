@@ -35,7 +35,8 @@ _MAX_TERMS = 100_000
 def _check_args(nu: float, z: np.ndarray) -> None:
     if not np.isfinite(nu) or nu <= -1.0:
         raise ParameterError(f"Bessel order must satisfy nu > -1, got {nu}")
-    if np.any(z < 0) or not np.all(np.isfinite(z)):
+    # min/max propagate NaN, so NaN fails the test too.
+    if z.size and not (z.min() >= 0.0 and z.max() < np.inf):
         raise ParameterError("Bessel argument must be finite and nonnegative")
 
 
@@ -48,7 +49,7 @@ def _ive_series(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero = z == 0.0  # only the k = 0 term (z/2)^nu / Gamma(nu + 1) is left
     out[zero] = 0.0 if nu == 0.0 else (np.inf if nu < 0.0 else -np.inf)
     pos = ~zero
-    if not np.any(pos):
+    if not pos.any():
         return out, ratio
 
     zp = z[pos]
@@ -75,17 +76,17 @@ def _ive_series(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         term = term * h2 / ((k + 1.0) * d)
         total += term
         k += 1.0
-        if np.all(term <= _SERIES_RTOL * total):
+        if (term <= _SERIES_RTOL * total).all():
             break
 
     # Downward from the peak (skipped for elements already at k = 0).
     term = np.ones_like(zp)
     k = kstar.astype(float)
     active = k > 0
-    while np.any(active):
+    while active.any():
         tk = term * k
         shifted += tk * inv_h2
-        term = np.where(active, tk * (k + nu) / h2, 0.0)
+        term = np.divide(tk * (k + nu), h2, out=np.zeros_like(tk), where=active)
         total += term
         k -= 1.0
         active = (k > 0) & (term > _SERIES_RTOL * total)
@@ -112,7 +113,7 @@ def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
         mag = np.abs(term)
         # Stop once converged or the divergent tail starts growing.
         grow = mag >= prev
-        if np.all((mag <= _SERIES_RTOL * np.abs(total)) | grow):
+        if ((mag <= _SERIES_RTOL * np.abs(total)) | grow).all():
             total = np.where(grow, total, total + term)
             break
         total += np.where(grow, 0.0, term)
@@ -139,9 +140,9 @@ def log_bessel_iv_scaled(nu: float, z):
     _check_args(nu, z_arr)
     out = np.empty_like(z_arr)
     asym = (z_arr >= _ASYM_Z_MIN) & (nu * nu <= z_arr)
-    if np.any(asym):
+    if asym.any():
         out[asym] = _log_ive_asymptotic(nu, z_arr[asym])
-    if np.any(~asym):
+    if not asym.all():
         out[~asym] = _log_ive_series(nu, z_arr[~asym])
     return out if np.ndim(z) else float(out[0])
 
@@ -164,9 +165,9 @@ def bessel_ratio(nu: float, z):
     _check_args(nu, z_arr)
     out = np.empty_like(z_arr)
     asym = (z_arr >= _ASYM_Z_MIN) & ((nu + 1.0) ** 2 <= z_arr)
-    if np.any(asym):
+    if asym.any():
         za = z_arr[asym]
         out[asym] = _hankel_sum(nu + 1.0, za) / _hankel_sum(nu, za)
-    if np.any(~asym):
+    if not asym.all():
         out[~asym] = _ive_series(nu, z_arr[~asym])[1]
     return out if np.ndim(z) else float(out[0])

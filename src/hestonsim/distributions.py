@@ -25,9 +25,10 @@ _MAX_POISSON_RATE = 2.0**62
 def sample_poisson(rate, rng: RngStream, size=None):
     """Draw Poisson counts with the given rate (scalar or array)."""
     rate = np.asarray(rate, dtype=float)
-    if np.any(rate < 0) or not np.all(np.isfinite(rate)):
+    lo, hi = (rate.min(), rate.max()) if rate.size else (0.0, 0.0)
+    if not (lo >= 0.0 and hi < np.inf):
         raise ParameterError("Poisson rate must be finite and nonnegative")
-    if np.any(rate >= _MAX_POISSON_RATE):
+    if hi >= _MAX_POISSON_RATE:
         raise ParameterError(
             "Poisson rate too large to sample as an integer count; "
             "use a larger time step or fewer paths per call"
@@ -42,7 +43,7 @@ def sample_std_gamma(shape, rng: RngStream, size=None):
     zero (the degenerate gamma), which the series samplers rely on.
     """
     shape = np.asarray(shape, dtype=float)
-    if np.any(shape < 0) or not np.all(np.isfinite(shape)):
+    if shape.size and not (shape.min() >= 0.0 and shape.max() < np.inf):
         raise ParameterError("gamma shape must be finite and nonnegative")
     if shape.ndim == 0 and shape == 0:
         raise ParameterError("gamma shape must be positive")
@@ -53,7 +54,7 @@ def sample_invgauss(mu, lam, rng: RngStream, size=None):
     """Draw inverse Gaussian variates with mean mu and variance mu^3/lam."""
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if np.any(mu <= 0) or np.any(lam <= 0):
+    if (mu <= 0).any() or (lam <= 0).any():
         raise ParameterError("inverse Gaussian parameters must be positive")
     return rng.gen.wald(mu, lam, size=size)
 
@@ -67,7 +68,7 @@ def sample_terminal_variance(v0, h: float, model: ModelParams, rng: RngStream):
     transition of the variance process.
     """
     v0 = np.asarray(v0, dtype=float)
-    if np.any(v0 <= 0) or h <= 0:
+    if (v0 <= 0).any() or h <= 0:
         raise ParameterError("v0 and h must be positive")
     phi_h = phi(model.kappa, h, model.xi)
     ekh = np.exp(-0.5 * model.kappa * h)
@@ -100,7 +101,7 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
     if not np.isfinite(nu) or nu <= -1.0:
         raise ParameterError(f"Bessel order must satisfy nu > -1, got {nu}")
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0) or not np.all(np.isfinite(z)):
+    if z.size and not (z.min() > 0.0 and z.max() < np.inf):
         raise ParameterError("Bessel argument must be finite and positive")
     scalar = z.ndim == 0 and size is None
     if size is not None:
@@ -121,7 +122,7 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
     p_dn = p_mode.copy()
     j_dn = jstar.copy()
     for _ in range(100_000):
-        if np.all(done):
+        if done.all():
             break
         # Candidate above the mode.
         p_up = p_up * h2 / ((j_up + 1.0) * (j_up + nu + 1.0))

@@ -82,10 +82,10 @@ def phi(kappa_arg: float, t: float, xi: float):
     transforms); ``t`` and ``xi`` are positive scalars.
     """
     kappa_arg = np.asarray(kappa_arg, dtype=float)
-    if t <= 0 or xi <= 0 or np.any(kappa_arg <= 0):
+    if t <= 0 or xi <= 0 or (kappa_arg <= 0).any():
         raise ParameterError("phi requires positive kappa_arg, t, and xi")
     x = 0.5 * kappa_arg * t
-    if np.any(x > _MAX_HYP_ARG):
+    if (x > _MAX_HYP_ARG).any():
         raise DomainError(f"kappa*t/2 = {np.max(x)} overflows sinh")
     out = (2.0 * kappa_arg / (xi * xi)) / np.sinh(x)
     return out if out.ndim else float(out)
@@ -281,7 +281,7 @@ def iv_moments_bessel(v0, v_t, model: ModelParams, h: float, coeffs: SeriesCoeff
     c = coeffs if coeffs is not None else series_coeffs(model, h)
     v0 = np.asarray(v0, dtype=float)
     v_t = np.asarray(v_t, dtype=float)
-    if np.any(v0 <= 0) or np.any(v_t <= 0):
+    if (v0 <= 0).any() or (v_t <= 0).any():
         raise ParameterError("variance endpoints must be positive")
     e_eta, var_eta = eta_moments(v0, v_t, model, h)
     vsum = v0 + v_t
@@ -305,9 +305,9 @@ def iv_moments_pois(v0, v_t, mu, model: ModelParams, h: float, coeffs: SeriesCoe
     v0 = np.asarray(v0, dtype=float)
     v_t = np.asarray(v_t, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if np.any(v0 <= 0) or np.any(v_t <= 0):
+    if (v0 <= 0).any() or (v_t <= 0).any():
         raise ParameterError("variance endpoints must be positive")
-    if np.any(mu < 0):
+    if (mu < 0).any():
         raise ParameterError("Poisson count must be nonnegative")
     vsum = v0 + v_t
     shape = 0.5 * model.delta + 2.0 * mu
@@ -335,7 +335,7 @@ def iv_moments_truncated(
     variance = full.variance - vsum * s_lg2 - shape * s_g2
     for trunc, ref in ((mean, full.mean), (variance, full.variance)):
         bad = trunc < -1e-14 * ref
-        if np.any(bad):
+        if bad.any():
             raise NumericalError(
                 f"truncated moment went negative beyond rounding tolerance at K={trunc_k}"
             )
@@ -353,10 +353,10 @@ def cond_laplace_pois(u, v0, v_t, mu, model: ModelParams, h: float):
     never inverted.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ParameterError("Laplace argument must be nonnegative")
     ku = _kappa_u(u, model)
-    if np.any(0.5 * ku * h > _MAX_HYP_ARG):
+    if (0.5 * ku * h > _MAX_HYP_ARG).any():
         raise DomainError("kappa_u * h/2 overflows the hyperbolic functions")
     v0 = np.asarray(v0, float)
     v_t = np.asarray(v_t, float)
@@ -376,10 +376,10 @@ def cond_laplace_bk(u, v0, v_t, model: ModelParams, h: float):
     so that large arguments do not overflow.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ParameterError("Laplace argument must be nonnegative")
     ku = _kappa_u(u, model)
-    if np.any(0.5 * ku * h > _MAX_HYP_ARG):
+    if (0.5 * ku * h > _MAX_HYP_ARG).any():
         raise DomainError("kappa_u * h/2 overflows the hyperbolic functions")
     v0 = np.asarray(v0, float)
     v_t = np.asarray(v_t, float)

@@ -107,7 +107,7 @@ def _invgauss_from_moments(mean, var, rng: RngStream):
         lam = np.where(var > 0, mean**3 / np.where(var > 0, var, 1.0), np.inf)
     ok = (mean > 0) & (var > 0) & (lam < _IG_LAMBDA_MAX)
     out = mean.copy()
-    if np.any(ok):
+    if ok.any():
         out[ok] = sample_invgauss(mean[ok], lam[ok], rng)
     return out
 
@@ -120,7 +120,7 @@ def _gamma_from_moments(mean, var, rng: RngStream):
     shape = np.where(ok, mean * mean / np.where(ok, var, 1.0), 0.0)
     scale = np.where(ok, var / np.where(ok, mean, 1.0), 0.0)
     out = mean.copy()
-    if np.any(ok):
+    if ok.any():
         out[ok] = scale[ok] * sample_std_gamma(shape[ok], rng)
     return out
 
@@ -220,15 +220,15 @@ def _qe_correction(model, h, psi, branch_a, branch_b2, branch_p, branch_beta, qu
     a1 = base + rho / xi
     a2 = base - rho / xi
     out = np.empty_like(psi)
-    if np.any(quad):
+    if quad.any():
         arg = 1.0 - 2.0 * a1 * branch_a[quad]
-        if np.any(arg <= 0):
+        if (arg <= 0).any():
             raise DomainError("quadratic-exponential correction undefined: 2*A1*a >= 1")
         out[quad] = -a1 * branch_b2[quad] * branch_a[quad] / arg + 0.5 * np.log(arg)
     exp_branch = ~quad
-    if np.any(exp_branch):
+    if exp_branch.any():
         beta = branch_beta[exp_branch]
-        if np.any(beta <= a1):
+        if (beta <= a1).any():
             raise DomainError("quadratic-exponential correction undefined: A1 >= beta")
         p = branch_p[exp_branch]
         out[exp_branch] = -np.log(p + beta * (1.0 - p) / (beta - a1))
@@ -320,7 +320,7 @@ def sample_log_return(v0, v_next, iv, h: float, model: ModelParams, z,
                       mart_price=0.0):
     """Log return over one interval conditional on (v0, v_next, iv)."""
     iv = np.asarray(iv, dtype=float)
-    if np.any(iv < 0):
+    if (iv < 0).any():
         raise ParameterError("integrated variance must be nonnegative")
     rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
     drift = (model.r - model.q) * h - 0.5 * iv
@@ -331,7 +331,7 @@ def sample_log_return(v0, v_next, iv, h: float, model: ModelParams, z,
 def cond_forward(s, v0, v_next, iv, h: float, model: ModelParams, mart_price=0.0):
     """Forward price conditional on the variance endpoints and integrated variance."""
     iv = np.asarray(iv, dtype=float)
-    if np.any(iv < 0):
+    if (iv < 0).any():
         raise ParameterError("integrated variance must be nonnegative")
     rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
     expo = -0.5 * rho * rho * iv

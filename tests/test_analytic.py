@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hestonsim.analytic import (
     QuadratureSpec,
@@ -11,7 +14,7 @@ from hestonsim.analytic import (
     varswap_strike_continuous,
     varswap_strike_discrete,
 )
-from hestonsim.errors import ParameterError
+from hestonsim.errors import NumericalError, ParameterError
 from hestonsim.model import ModelParams
 from hestonsim.presets import CASE_PRESETS
 
@@ -48,6 +51,77 @@ def test_price_stable_under_tighter_quadrature():
     b = price_european_exact(preset.model, preset.maturity, preset.strike,
                              QuadratureSpec(epsabs=1e-12, epsrel=1e-12, limit=400))
     assert a == pytest.approx(b, abs=1e-8)
+
+
+def _quad_reference_price(models, T, strike):
+    """Gil-Pelaez inversion with two scalar adaptive quad integrals."""
+
+    def charfn(u):
+        return heston_charfn_multifactor(u, models, T)
+
+    model = models[0]
+    k = np.log(strike / model.s0)
+    fwd_cf = charfn(-1j)
+
+    def integrand_p1(u):
+        val = charfn(u - 1j) / fwd_cf.real
+        return (np.exp(-1j * u * k) * val / (1j * u)).real
+
+    def integrand_p2(u):
+        return (np.exp(-1j * u * k) * charfn(u) / (1j * u)).real
+
+    kw = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+    p1 = 0.5 + quad(integrand_p1, 0.0, np.inf, **kw)[0] / np.pi
+    p2 = 0.5 + quad(integrand_p2, 0.0, np.inf, **kw)[0] / np.pi
+    return model.s0 * np.exp(-model.q * T) * p1 - strike * np.exp(-model.r * T) * p2
+
+
+def _oracle_cases(group):
+    """(factors, T, strike) triples on which the pricer is checked against quad."""
+    if group == "presets":
+        return [([p.model], p.maturity, x) for p in CASE_PRESETS.values()
+                for x in (50.0, 75.0, 90.0, 100.0, 110.0, 150.0, 200.0)]
+    if group == "grid":  # the grid4 sweep's points, with xi = 2 at kappa = 0.1
+        base = CASE_PRESETS["IV"]
+        return [([replace(base.model, xi=xi, kappa=kappa)], base.maturity, x)
+                for xi in (2.0, 1.0, 0.25, 0.1) for kappa in (4.0, 1.0, 0.1)
+                for x in (100.0, 110.0, 120.0)]
+    if group == "random":
+        rs = np.random.default_rng(2024)
+        cases = []
+        for _ in range(30):
+            m = ModelParams(s0=100.0, v0=rs.uniform(0.005, 0.5), kappa=rs.uniform(0.7, 8.0),
+                            theta=rs.uniform(0.005, 0.5), xi=rs.uniform(0.05, 2.0),
+                            rho=rs.uniform(-0.95, 0.3), r=rs.uniform(-0.01, 0.08),
+                            q=rs.uniform(0.0, 0.05))
+            T = float(rs.choice([0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0]))
+            cases.append(([m], T, 100.0 * np.exp(rs.uniform(-0.5, 0.5) * np.sqrt(T))))
+        return cases
+    a = CASE_PRESETS["III"].model
+    return [([a, replace(a, v0=0.09, kappa=1.5, theta=0.06, xi=0.8, rho=-0.3)], 2.0, 105.0)]
+
+
+@pytest.mark.parametrize("group", ["presets", "grid", "random", "two_factor"])
+def test_price_matches_quad_reference(group):
+    errs = [abs(price_european_exact_multifactor(models, T, x)
+                - _quad_reference_price(models, T, x))
+            for models, T, x in _oracle_cases(group)]
+    assert max(errs) < 1e-9
+
+
+def test_quadrature_node_limit_raises():
+    preset = CASE_PRESETS["I"]
+    with pytest.raises(NumericalError, match="did not converge within 10 nodes"):
+        price_european_exact(preset.model, preset.maturity, preset.strike,
+                             QuadratureSpec(limit=10))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_forward_identity_raises():
+    # kappa < rho * xi puts 0/0 in the characteristic function at u = -i.
+    m = ModelParams(s0=100, v0=0.9, kappa=0.05, theta=0.003, xi=0.6, rho=0.25)
+    with pytest.raises(NumericalError, match="forward identity"):
+        price_european_exact(m, 0.86, 91.0)
 
 
 def test_price_monotone_and_convex_in_strike():

@@ -100,3 +100,26 @@ def test_invalid_order(nu, z):
 def test_negative_argument_rejected():
     with pytest.raises(ParameterError):
         bessel_iv(0.5, -1.0)
+
+
+@pytest.mark.parametrize("z", [np.array([1.0, -np.inf]), np.array([1.0, np.inf]),
+                               np.array([2.0, np.nan])])
+def test_nonfinite_argument_rejected(z):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        bessel_iv(0.5, z)
+
+
+def test_empty_argument():
+    assert log_bessel_iv_scaled(0.5, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 3.0])
+def test_underflowed_argument_beside_large_one(nu):
+    # At z = 1e-300, (z/2)^2 underflows to 0; the downward series loop must
+    # not divide by it while z = 5 in the same array still needs that loop.
+    z = np.array([1e-300, 5.0])
+    with np.errstate(divide="raise", invalid="raise"):
+        out = log_bessel_iv_scaled(nu, z)
+    assert out[0] == log_bessel_iv_scaled(nu, z[0])
+    assert out[1] == log_bessel_iv_scaled(nu, z[1])
+    np.testing.assert_allclose(out[1], np.log(sp.ive(nu, 5.0)), rtol=1e-12)

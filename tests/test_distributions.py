@@ -34,15 +34,24 @@ def test_poisson_large_rate():
     assert abs(draws.mean() - 1e6) < 500
 
 
-@pytest.mark.parametrize("rate", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("rate", [-1.0, np.nan, np.inf, np.array([1.0, np.nan]),
+                                  np.array([-np.inf, 1.0]), np.array([2.0**63, np.nan])])
 def test_poisson_invalid_rate(rate):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
         sample_poisson(rate, RngStream(1))
 
 
 def test_poisson_rate_overflow_guard():
-    with pytest.raises(ParameterError):
-        sample_poisson(2.0**63, RngStream(1))
+    for rate in (2.0**63, np.array([1.0, 2.0**62])):
+        with pytest.raises(ParameterError, match="too large"):
+            sample_poisson(rate, RngStream(1))
+
+
+def test_samplers_accept_empty_arrays():
+    empty = np.array([])
+    assert sample_poisson(empty, RngStream(1)).shape == (0,)
+    assert sample_std_gamma(empty, RngStream(1)).shape == (0,)
+    assert sample_bessel_rv(0.5, empty, RngStream(1)).shape == (0,)
 
 
 def test_gamma_small_shape_moments():
@@ -59,6 +68,12 @@ def test_gamma_moments():
 def test_gamma_shape_one_is_exponential():
     draws = sample_std_gamma(1.0, RngStream(6), size=N_BIG)
     assert abs(np.mean(draws > np.log(2.0)) - 0.5) < 0.005
+
+
+@pytest.mark.parametrize("shape", [-0.5, np.array([1.0, np.nan]), np.array([1.0, np.inf])])
+def test_gamma_invalid_shape(shape):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        sample_std_gamma(shape, RngStream(1))
 
 
 def test_gamma_scalar_zero_shape_rejected():
@@ -156,8 +171,9 @@ def test_bessel_rv_large_argument():
 def test_bessel_rv_invalid_args():
     with pytest.raises(ParameterError):
         sample_bessel_rv(-1.5, 1.0, RngStream(1))
-    with pytest.raises(ParameterError):
-        sample_bessel_rv(0.5, 0.0, RngStream(1))
+    for z in (0.0, np.array([1.0, np.nan]), np.array([1.0, np.inf])):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            sample_bessel_rv(0.5, z, RngStream(1))
 
 
 def test_samplers_are_pure_functions_of_stream():
