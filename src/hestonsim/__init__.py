@@ -46,6 +46,7 @@ from .presets import CASE_PRESETS, CasePreset, get_case
 from .rng import RngStream
 from .schemes import (
     SchemeConfig,
+    StepPlan,
     StepResult,
     cond_forward,
     price_european_cmc,
@@ -55,6 +56,7 @@ from .schemes import (
     simulate_terminal,
     step_ge,
     step_ig,
+    step_plan,
     step_pois_ge,
     step_pois_td,
     step_qem,
@@ -98,6 +100,7 @@ __all__ = [
     "get_case",
     "RngStream",
     "SchemeConfig",
+    "StepPlan",
     "StepResult",
     "cond_forward",
     "price_european_cmc",
@@ -107,6 +110,7 @@ __all__ = [
     "simulate_terminal",
     "step_ge",
     "step_ig",
+    "step_plan",
     "step_pois_ge",
     "step_pois_td",
     "step_qem",

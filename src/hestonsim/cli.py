@@ -34,7 +34,6 @@ from .harness import (
     ExperimentSpec,
     emit_rows_csv,
     emit_table,
-    merge_results,
     run_experiment,
 )
 from .model import ModelParams
@@ -210,7 +209,7 @@ def _cmd_price(args) -> int:
                 raise ConfigurationError("--scheme or run.scheme is required")
             results = [run_experiment(spec) for spec in specs_from_config(values, args)]
             if args.format == "csv":
-                text = emit_rows_csv(merge_results(results))
+                text = emit_rows_csv([row for res in results for row in res.rows])
             else:
                 text = "\n".join(emit_table(res, args.format) for res in results)
             _write_output(text, args.out)
@@ -356,7 +355,7 @@ def _cmd_bench(args) -> int:
     else:
         results = _bench_grid_table(args)
     if args.format == "csv":
-        text = emit_rows_csv(merge_results(results))
+        text = emit_rows_csv([row for res in results for row in res.rows])
     else:
         text = "\n".join(emit_table(res, args.format) for res in results)
     _write_output(text, args.out)

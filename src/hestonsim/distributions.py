@@ -68,8 +68,9 @@ def sample_terminal_variance(v0, h: float, model: ModelParams, rng: RngStream):
     transition of the variance process.
     """
     v0 = np.asarray(v0, dtype=float)
-    if (v0 <= 0).any() or h <= 0:
-        raise ParameterError("v0 and h must be positive")
+    # NaN fails the comparison, so it is rejected too.
+    if not (h > 0 and (v0.size == 0 or v0.min() >= 0.0)):
+        raise ParameterError("h must be positive and v0 nonnegative")
     phi_h = phi(model.kappa, h, model.xi)
     ekh = np.exp(-0.5 * model.kappa * h)
     mu = sample_poisson(0.5 * v0 * phi_h * ekh, rng)
@@ -91,22 +92,26 @@ def bessel_rv_logpmf(nu: float, z, j):
 
 
 def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
-    """Draw Bessel counts BES(nu, z), vectorized over z.
+    """Draw Bessel counts BES(nu, z), vectorized over z >= 0.
 
     The mass at the mode j* ~ (sqrt(nu^2 + z^2) - nu)/2 is evaluated through
     the log-scaled Bessel function, and probability is then accumulated
     outward from the mode by the two-term ratio recursion until the uniform
-    draw is covered.
+    draw is covered.  BES(nu, 0) is a point mass at 0.
     """
     if not np.isfinite(nu) or nu <= -1.0:
         raise ParameterError(f"Bessel order must satisfy nu > -1, got {nu}")
     z = np.asarray(z, dtype=float)
-    if z.size and not (z.min() > 0.0 and z.max() < np.inf):
-        raise ParameterError("Bessel argument must be finite and positive")
+    if z.size and not (z.min() >= 0.0 and z.max() < np.inf):
+        raise ParameterError("Bessel argument must be finite and positive or zero")
     scalar = z.ndim == 0 and size is None
     if size is not None:
         z = np.broadcast_to(z, (size,) if np.isscalar(size) else size).astype(float)
     z = np.atleast_1d(z)
+    zero = z == 0.0
+    if zero.any():
+        # Search at a placeholder argument; the result is overwritten below.
+        z = np.where(zero, 1.0, z)
 
     u = rng.gen.uniform(size=z.shape)
     jstar = np.maximum(np.floor(0.5 * (np.sqrt(nu * nu + z * z) - nu)), 0.0)
@@ -133,9 +138,9 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
         done |= take
         # Candidate below the mode, while any remain.
         below = j_dn > 0.0
-        p_new = np.where(below, p_dn * j_dn * (j_dn + nu) / h2, 0.0)
+        # Masked: h2 underflows to 0 for z below ~1e-154, where j_dn is 0.
+        p_dn = np.divide(p_dn * j_dn * (j_dn + nu), h2, out=np.zeros_like(h2), where=below)
         j_dn = np.where(below, j_dn - 1.0, j_dn)
-        p_dn = p_new
         take = ~done & below & (cum + p_dn >= u)
         result[take] = j_dn[take]
         cum += np.where(done, 0.0, p_dn)
@@ -146,5 +151,5 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
             break
     else:
         raise NumericalError("Bessel count sampling failed to cover the uniform draw")
-    out = result.astype(np.int64)
+    out = np.where(zero, 0, result).astype(np.int64)
     return int(out[0]) if scalar else out

@@ -197,14 +197,10 @@ def emit_table(result: ExperimentResult, format: str = "csv") -> str:
     if not result.rows:
         raise ConfigurationError("cannot render an empty result")
     if format == "csv":
-        return _emit_csv(result)
+        return emit_rows_csv(result.rows)
     if format in ("markdown", "md"):
         return _emit_markdown(result)
     raise ConfigurationError(f"unknown table format {format!r}")
-
-
-def _emit_csv(result: ExperimentResult) -> str:
-    return emit_rows_csv(result.rows)
 
 
 def emit_rows_csv(rows: list[ResultRow]) -> str:
@@ -277,11 +273,3 @@ def _emit_markdown(result: ExperimentResult) -> str:
         )
     lines.append("")
     return "\n".join(lines)
-
-
-def merge_results(results: list[ExperimentResult]) -> list[ResultRow]:
-    """Concatenate the rows of several experiments (for multi-case tables)."""
-    rows = []
-    for res in results:
-        rows.extend(res.rows)
-    return rows

@@ -106,10 +106,15 @@ def _coth_phi(kappa_arg, t: float, xi: float):
     return (2.0 * kappa_arg / (xi * xi)) / np.tanh(0.5 * kappa_arg * t)
 
 
-def terminal_variance_moments(v0: float, t: float, model: ModelParams):
-    """Mean and variance of V_t given V_0 = v0 for the CIR variance process."""
-    if v0 <= 0 or t <= 0:
-        raise ParameterError("v0 and t must be positive")
+def terminal_variance_moments(v0, t: float, model: ModelParams):
+    """Mean and variance of V_t given V_0 = v0 >= 0 for the CIR variance process.
+
+    Vectorized over ``v0``.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    if not t > 0:
+        raise ParameterError("t must be positive")
+    _check_endpoints(v0)
     e = np.exp(-model.kappa * t)
     mean = model.theta + (v0 - model.theta) * e
     var = (model.xi**2 / model.kappa) * (1.0 - e) * (v0 * e + 0.5 * model.theta * (1.0 - e))
@@ -247,6 +252,13 @@ def series_coeffs(model: ModelParams, h: float) -> SeriesCoeffs:
     return SeriesCoeffs(model.kappa, model.xi, h, a, c1, c2, m_x, v_x, m_z, v_z)
 
 
+def _check_endpoints(*vs) -> None:
+    for v in vs:
+        # NaN fails the comparison, so it is rejected too.
+        if v.size and not v.min() >= 0.0:
+            raise ParameterError("variance endpoints must be nonnegative")
+
+
 class IvMoments:
     """Mean and variance of the conditional integrated variance (array-valued)."""
 
@@ -281,8 +293,7 @@ def iv_moments_bessel(v0, v_t, model: ModelParams, h: float, coeffs: SeriesCoeff
     c = coeffs if coeffs is not None else series_coeffs(model, h)
     v0 = np.asarray(v0, dtype=float)
     v_t = np.asarray(v_t, dtype=float)
-    if (v0 <= 0).any() or (v_t <= 0).any():
-        raise ParameterError("variance endpoints must be positive")
+    _check_endpoints(v0, v_t)
     e_eta, var_eta = eta_moments(v0, v_t, model, h)
     vsum = v0 + v_t
     half_delta = 0.5 * model.delta
@@ -305,8 +316,7 @@ def iv_moments_pois(v0, v_t, mu, model: ModelParams, h: float, coeffs: SeriesCoe
     v0 = np.asarray(v0, dtype=float)
     v_t = np.asarray(v_t, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if (v0 <= 0).any() or (v_t <= 0).any():
-        raise ParameterError("variance endpoints must be positive")
+    _check_endpoints(v0, v_t)
     if (mu < 0).any():
         raise ParameterError("Poisson count must be nonnegative")
     vsum = v0 + v_t

@@ -1,8 +1,10 @@
 """Single-period simulation kernels and Monte Carlo pricing drivers.
 
-Five schemes share one step contract: each consumes the current variance and
-produces the next variance, the integrated variance over the step, and any
-martingale-correction terms.
+Five schemes share one step contract, ``step_<kind>(v, plan, rng) ->
+StepResult``: each consumes the current variance of every path and produces
+the next variance, the integrated variance over the step, and any
+martingale-correction terms.  ``plan`` is the :class:`StepPlan` of the
+(model, step size, config), built once per simulation.
 
 * ``ge``       -- gamma-series expansion with a Bessel count and three
                   moment-matched gamma remainders (exact, one step).
@@ -17,9 +19,11 @@ martingale-correction terms.
                   transition with the conditional-mean integrated variance
                   and variance-based corrections.
 
-All kernels are vectorized over paths and are pure functions of their random
-stream; pricing drivers batch paths over indexed substreams so results do not
-depend on scheduling.
+All schemes but ``qem`` draw the exact variance transition through the
+Poisson-gamma mixture of :func:`sample_terminal_variance`.  All kernels are
+vectorized over paths and are pure functions of their random stream; pricing
+drivers batch paths over indexed substreams so results do not depend on
+scheduling.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .model import (
     iv_moments_truncated,
     phi,
     series_coeffs,
+    terminal_variance_moments,
 )
 from .rng import RngStream
 
@@ -88,6 +93,36 @@ class SchemeConfig:
             )
 
 
+@dataclass(frozen=True)
+class StepPlan:
+    """Constants of one step of one scheme config, shared by all its steps.
+
+    ``qem`` needs none of the series constants, which overflow for
+    kappa*h/2 > 700, so its plan leaves them unset.
+    """
+
+    model: ModelParams
+    h: float
+    cfg: SchemeConfig
+    coeffs: Optional[SeriesCoeffs] = None
+    phi_h: Optional[float] = None
+    #: Poisson rates and gamma scales of the first ``trunc_k`` series terms.
+    lam_k: tuple[float, ...] = ()
+    gam_k: tuple[float, ...] = ()
+    #: ``coeffs.truncation_sums(trunc_k)``.
+    sums: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+
+
+def step_plan(model: ModelParams, h: float, cfg: SchemeConfig) -> StepPlan:
+    """Build the :class:`StepPlan` of ``cfg`` for steps of size ``h``."""
+    if cfg.kind == "qem":
+        return StepPlan(model, h, cfg)
+    c = series_coeffs(model, h)
+    ks = np.arange(1, cfg.trunc_k + 1)
+    return StepPlan(model, h, cfg, c, phi(model.kappa, h, model.xi), tuple(c.lam(ks)),
+                    tuple(c.gam(ks)), c.truncation_sums(cfg.trunc_k))
+
+
 @dataclass
 class StepResult:
     """Outcome of one simulation step over all paths."""
@@ -125,55 +160,40 @@ def _gamma_from_moments(mean, var, rng: RngStream):
     return out
 
 
-def step_pois_ge(v, h: float, trunc_k: int, model: ModelParams, rng: RngStream,
-                 coeffs: SeriesCoeffs | None = None) -> StepResult:
+def step_pois_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Poisson-conditioned series step with an inverse Gaussian remainder."""
-    c = coeffs if coeffs is not None else series_coeffs(model, h)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    model, h = plan.model, plan.h
     v_next, mu = sample_terminal_variance(v, h, model, rng)
 
     shape0 = 0.5 * model.delta + 2.0 * mu
+    vsum = v + v_next
     iv = np.zeros_like(v)
-    if trunc_k:
-        ks = np.arange(1, trunc_k + 1)
-        lam_k = c.lam(ks)
-        gam_k = c.gam(ks)
-        vsum = v + v_next
-        for lam, gam in zip(lam_k, gam_k):
-            n_k = sample_poisson(vsum * lam, rng)
-            iv += sample_std_gamma(n_k + shape0, rng) / gam
-    rem = iv_moments_truncated(trunc_k, v, v_next, mu, model, h, c)
+    for lam, gam in zip(plan.lam_k, plan.gam_k):
+        n_k = sample_poisson(vsum * lam, rng)
+        iv += sample_std_gamma(n_k + shape0, rng) / gam
+    rem = iv_moments_truncated(plan.cfg.trunc_k, v, v_next, mu, model, h, plan.coeffs)
     iv += _invgauss_from_moments(rem.mean, rem.variance, rng)
     return StepResult(v_next=v_next, iv=iv, mu=mu)
 
 
-def step_ge(v, h: float, trunc_k: int, model: ModelParams, rng: RngStream,
-            coeffs: SeriesCoeffs | None = None) -> StepResult:
+def step_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Gamma-series step with a Bessel count and gamma-matched remainders."""
-    c = coeffs if coeffs is not None else series_coeffs(model, h)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    model, c = plan.model, plan.coeffs
     n = v.shape[0]
-    phi_h = phi(model.kappa, h, model.xi)
-    ekh = np.exp(-0.5 * model.kappa * h)
-    v_next = (ekh / phi_h) * rng.gen.noncentral_chisquare(model.delta, v * phi_h * ekh, size=n)
-    z = np.sqrt(v * v_next) * phi_h
-    eta = sample_bessel_rv(model.nu, z, rng)
+    v_next, _ = sample_terminal_variance(v, plan.h, model, rng)
+    eta = sample_bessel_rv(model.nu, np.sqrt(v * v_next) * plan.phi_h, rng)
 
     vsum = v + v_next
+    half_delta = 0.5 * model.delta
     iv = np.zeros_like(v)
-    if trunc_k:
-        ks = np.arange(1, trunc_k + 1)
-        lam_k = c.lam(ks)
-        gam_k = c.gam(ks)
-        half_delta = 0.5 * model.delta
-        for lam, gam in zip(lam_k, gam_k):
-            n_k = sample_poisson(vsum * lam, rng)
-            term = sample_std_gamma(n_k.astype(float), rng)
-            term += sample_std_gamma(half_delta, rng, size=n)
-            term += sample_std_gamma(2.0 * eta, rng)
-            iv += term / gam
+    for lam, gam in zip(plan.lam_k, plan.gam_k):
+        n_k = sample_poisson(vsum * lam, rng)
+        term = sample_std_gamma(n_k.astype(float), rng)
+        term += sample_std_gamma(half_delta, rng, size=n)
+        term += sample_std_gamma(2.0 * eta, rng)
+        iv += term / gam
 
-    s_lg, s_g, s_lg2, s_g2 = c.truncation_sums(trunc_k)
+    s_lg, s_g, s_lg2, s_g2 = plan.sums
     # Remainder moment factors; rounding in the partial sums can leave a
     # vanishing negative residue, which is clamped away.
     rm_x = max(c.mean_x - s_lg, 0.0)
@@ -183,7 +203,6 @@ def step_ge(v, h: float, trunc_k: int, model: ModelParams, rng: RngStream,
     # Endpoint-driven remainder.
     iv += _gamma_from_moments(vsum * rm_x, vsum * rv_x, rng)
     # Fixed-shape remainder.
-    half_delta = 0.5 * model.delta
     iv += _gamma_from_moments(
         np.full(n, half_delta * rm_z), np.full(n, half_delta * rv_z), rng
     )
@@ -198,19 +217,11 @@ def step_ge(v, h: float, trunc_k: int, model: ModelParams, rng: RngStream,
     return StepResult(v_next=v_next, iv=iv)
 
 
-def step_ig(v, h: float, model: ModelParams, rng: RngStream,
-            coeffs: SeriesCoeffs | None = None) -> StepResult:
+def step_ig(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Inverse Gaussian approximation with Bessel-ratio moments."""
-    c = coeffs if coeffs is not None else series_coeffs(model, h)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    phi_h = phi(model.kappa, h, model.xi)
-    ekh = np.exp(-0.5 * model.kappa * h)
-    v_next = (ekh / phi_h) * rng.gen.noncentral_chisquare(
-        model.delta, v * phi_h * ekh, size=v.shape[0]
-    )
-    mom = iv_moments_bessel(v, v_next, model, h, c)
-    iv = _invgauss_from_moments(mom.mean, mom.variance, rng)
-    return StepResult(v_next=v_next, iv=iv)
+    v_next, _ = sample_terminal_variance(v, plan.h, plan.model, rng)
+    mom = iv_moments_bessel(v, v_next, plan.model, plan.h, plan.coeffs)
+    return StepResult(v_next=v_next, iv=_invgauss_from_moments(mom.mean, mom.variance, rng))
 
 
 def _qe_correction(model, h, psi, branch_a, branch_b2, branch_p, branch_beta, quad):
@@ -235,12 +246,11 @@ def _qe_correction(model, h, psi, branch_a, branch_b2, branch_p, branch_beta, qu
     return rho * kappa * theta * h / xi + out, a2
 
 
-def step_qem(v, h: float, model: ModelParams, rng: RngStream,
-             martingale_mode: str = "none") -> StepResult:
+def step_qem(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Quadratic-exponential variance draw with the trapezoidal rule."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    model, h = plan.model, plan.h
     n = v.shape[0]
-    m, s2 = terminal_variance_moments_vec(v, h, model)
+    m, s2 = terminal_variance_moments(v, h, model)
     psi = s2 / (m * m)
 
     z = rng.gen.standard_normal(n)
@@ -261,59 +271,43 @@ def step_qem(v, h: float, model: ModelParams, rng: RngStream,
     iv = 0.5 * (v + v_next) * h
 
     mart = 0.0
-    if martingale_mode != "none":
+    if plan.cfg.martingale_mode != "none":
         corr, a2 = _qe_correction(model, h, psi, a, b2, p, beta, quad)
         mart = corr - a2 * v
     return StepResult(v_next=v_next, iv=iv, mart_price=mart)
 
 
-def terminal_variance_moments_vec(v, h: float, model: ModelParams):
-    """Vectorized one-step conditional mean and variance of the CIR transition."""
-    v = np.asarray(v, dtype=float)
-    e = np.exp(-model.kappa * h)
-    mean = model.theta + (v - model.theta) * e
-    var = (model.xi**2 / model.kappa) * (1.0 - e) * (v * e + 0.5 * model.theta * (1.0 - e))
-    return mean, var
-
-
-def step_pois_td(v, h: float, model: ModelParams, rng: RngStream,
-                 coeffs: SeriesCoeffs | None = None,
-                 martingale_mode: str = "none") -> StepResult:
+def step_pois_td(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Poisson-conditioned time-discretization step.
 
     The variance transition is exact; the integrated variance is replaced by
     its conditional mean, with the neglected conditional variance feeding the
     martingale corrections.
     """
-    c = coeffs if coeffs is not None else series_coeffs(model, h)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    model, h = plan.model, plan.h
     v_next, mu = sample_terminal_variance(v, h, model, rng)
-    mom = iv_moments_pois(v, v_next, mu, model, h, c)
-    iv = mom.mean
+    mom = iv_moments_pois(v, v_next, mu, model, h, plan.coeffs)
 
     mart_price = 0.0
     mart_retvar = 0.0
     rho, xi, kappa = model.rho, model.xi, model.kappa
-    if martingale_mode == "price":
+    if plan.cfg.martingale_mode == "price":
         mart_price = 0.5 * rho * rho * (kappa / xi - 0.5 * rho) ** 2 * mom.variance
-    elif martingale_mode == "return_variance":
+    elif plan.cfg.martingale_mode == "return_variance":
         mart_retvar = (rho * kappa / xi - 0.5) ** 2 * mom.variance
-    return StepResult(v_next=v_next, iv=iv, mu=mu, mart_price=mart_price, mart_retvar=mart_retvar)
+    return StepResult(v_next=v_next, iv=mom.mean, mu=mu, mart_price=mart_price,
+                      mart_retvar=mart_retvar)
 
 
-def _step(cfg: SchemeConfig, v, h: float, model: ModelParams, rng: RngStream,
-          coeffs: SeriesCoeffs | None) -> StepResult:
-    if cfg.kind == "pois_ge":
-        return step_pois_ge(v, h, cfg.trunc_k, model, rng, coeffs)
-    if cfg.kind == "ge":
-        return step_ge(v, h, cfg.trunc_k, model, rng, coeffs)
-    if cfg.kind == "ig":
-        return step_ig(v, h, model, rng, coeffs)
-    if cfg.kind == "qem":
-        return step_qem(v, h, model, rng, cfg.martingale_mode)
-    if cfg.kind == "pois_td":
-        return step_pois_td(v, h, model, rng, coeffs, cfg.martingale_mode)
-    raise ConfigurationError(f"unknown scheme kind {cfg.kind!r}")
+def _steps(plan: StepPlan, n_paths: int, rng: RngStream):
+    """Yield ``(v, StepResult)`` per step, ``v`` being the variance at the step's start."""
+    # Looked up by name on each call, so a replaced module attribute is used.
+    step = globals()[f"step_{plan.cfg.kind}"]
+    v = np.full(n_paths, plan.model.v0, dtype=float)
+    for _ in range(plan.cfg.n_steps):
+        res = step(v, plan, rng)
+        yield v, res
+        v = res.v_next
 
 
 def sample_log_return(v0, v_next, iv, h: float, model: ModelParams, z,
@@ -342,26 +336,34 @@ def cond_forward(s, v0, v_next, iv, h: float, model: ModelParams, mart_price=0.0
 def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,
                       rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate (V_T, total integrated variance, total price correction)."""
-    h = T / cfg.n_steps
-    coeffs = series_coeffs(model, h) if cfg.kind != "qem" else None
-    v = np.full(n_paths, model.v0, dtype=float)
     iv_tot = np.zeros(n_paths)
     mart_tot = np.zeros(n_paths)
-    for _ in range(cfg.n_steps):
-        res = _step(cfg, v, h, model, rng, coeffs)
+    for _, res in _steps(step_plan(model, T / cfg.n_steps, cfg), n_paths, rng):
         iv_tot += res.iv
         mart_tot += res.mart_price
-        v = res.v_next
-    return v, iv_tot, mart_tot
+    return res.v_next, iv_tot, mart_tot
 
 
-def _batches(n_paths: int):
-    start = 0
-    idx = 0
-    while start < n_paths:
-        yield idx, min(BATCH_SIZE, n_paths - start)
-        start += BATCH_SIZE
-        idx += 1
+def _batch_mean(n_paths: int, rng: RngStream, batch) -> tuple[float, float]:
+    """Mean and standard error of ``batch(nb, substream)`` values over all paths.
+
+    Batch ``b`` holds up to ``BATCH_SIZE`` paths and draws from
+    ``rng.substream(b)``.  Batches merge in index order: the mean from the
+    running total, the squared deviations by the pairwise update of Chan,
+    Golub & LeVeque, which does not cancel when the mean dwarfs the spread.
+    """
+    if n_paths < 1:
+        raise ParameterError("n_paths must be >= 1")
+    n, total, m2 = 0, 0.0, 0.0
+    for b, start in enumerate(range(0, n_paths, BATCH_SIZE)):
+        x = batch(min(BATCH_SIZE, n_paths - start), rng.substream(b))
+        nb, s = x.size, float(np.sum(x))
+        d = s / nb - (total / n if n else 0.0)
+        m2 += float(np.sum((x - s / nb) ** 2)) + d * d * n * nb / (n + nb)
+        n += nb
+        total += s
+    se = float(np.sqrt(m2 / (n - 1) / n)) if n > 1 else 0.0
+    return total / n, se
 
 
 def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeConfig,
@@ -372,31 +374,27 @@ def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeC
     conditional forward and residual volatility, which suppresses the
     variance from the terminal asset draw.
     """
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
-    acc = _MeanAccumulator()
-    for b, nb in _batches(n_paths):
-        sub = rng.substream(b)
+    def batch(nb, sub):
         v_end, iv, mart = simulate_terminal(model, T, cfg, nb, sub)
         fwd = cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
         sigma = np.sqrt((1.0 - model.rho**2) * iv / T)
-        acc.add(bs_call_undiscounted(fwd, sigma, T, strike))
+        return bs_call_undiscounted(fwd, sigma, T, strike)
+
+    mean, se = _batch_mean(n_paths, rng, batch)
     disc = np.exp(-model.r * T)
-    return disc * acc.mean, disc * acc.std_error
+    return disc * mean, disc * se
 
 
 def reconstruct_spot(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,
                      rng: RngStream) -> tuple[float, float]:
     """Discounted average of conditional forwards; equals the spot in expectation."""
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
-    acc = _MeanAccumulator()
-    for b, nb in _batches(n_paths):
-        sub = rng.substream(b)
+    def batch(nb, sub):
         v_end, iv, mart = simulate_terminal(model, T, cfg, nb, sub)
-        acc.add(cond_forward(model.s0, model.v0, v_end, iv, T, model, mart))
+        return cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
+
+    mean, se = _batch_mean(n_paths, rng, batch)
     disc = np.exp((model.q - model.r) * T)
-    return disc * acc.mean, disc * acc.std_error
+    return disc * mean, disc * se
 
 
 def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: SchemeConfig,
@@ -412,23 +410,17 @@ def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: Sc
         raise ConfigurationError("variance swaps require a time-discretization scheme")
     if cfg.n_steps != n_periods:
         raise ConfigurationError("monitoring periods must match the step count")
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
-    h = T / n_periods
-    coeffs = series_coeffs(model, h) if cfg.kind != "qem" else None
-    acc = _MeanAccumulator()
-    for b, nb in _batches(n_paths):
-        sub = rng.substream(b)
-        v = np.full(nb, model.v0, dtype=float)
+    plan = step_plan(model, T / n_periods, cfg)
+
+    def batch(nb, sub):
         rv = np.zeros(nb)
-        for _ in range(n_periods):
-            res = _step(cfg, v, h, model, sub, coeffs)
+        for v, res in _steps(plan, nb, sub):
             z = sub.gen.standard_normal(nb)
-            lr = sample_log_return(v, res.v_next, res.iv, h, model, z, res.mart_price)
+            lr = sample_log_return(v, res.v_next, res.iv, plan.h, model, z, res.mart_price)
             rv += lr * lr + res.mart_retvar
-            v = res.v_next
-        acc.add(rv / T)
-    return acc.mean, acc.std_error
+        return rv / T
+
+    return _batch_mean(n_paths, rng, batch)
 
 
 def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: int,
@@ -448,11 +440,12 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
     for m in models[1:]:
         if (m.s0, m.r, m.q) != (head.s0, head.r, head.q):
             raise ConfigurationError("factors must share s0, r, and q")
+    cfg = SchemeConfig("pois_ge", trunc_k=trunc_k)
 
     if len(models) == 1:
         # Delegate to the scalar pipeline so one factor is bit-identical to it.
         m = head
-        res = step_pois_ge(np.full(n_paths, m.v0), T, trunc_k, m, rng)
+        res = step_pois_ge(np.full(n_paths, m.v0), step_plan(m, T, cfg), rng)
         fwd = cond_forward(m.s0, m.v0, res.v_next, res.iv, T, m)
         total_sigma = np.sqrt((1.0 - m.rho**2) * res.iv)
         z = rng.gen.standard_normal(n_paths)
@@ -462,7 +455,7 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
     expo = np.zeros(n_paths)
     var_tot = np.zeros(n_paths)
     for m in models:
-        res = step_pois_ge(np.full(n_paths, m.v0), T, trunc_k, m, rng)
+        res = step_pois_ge(np.full(n_paths, m.v0), step_plan(m, T, cfg), rng)
         expo += (m.rho / m.xi) * (res.v_next - m.v0 + m.kappa * (res.iv - m.theta * T))
         expo -= 0.5 * m.rho**2 * res.iv
         var_tot += (1.0 - m.rho**2) * res.iv
@@ -471,28 +464,3 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
     z = rng.gen.standard_normal(n_paths)
     log_return = np.log(fwd / head.s0) - 0.5 * var_tot + total_sigma * z
     return log_return, fwd, total_sigma
-
-
-class _MeanAccumulator:
-    """Streaming mean and standard error over path batches (fixed merge order)."""
-
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, values: np.ndarray):
-        self.n += values.size
-        self.total += float(np.sum(values))
-        self.total_sq += float(np.sum(values * values))
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n
-
-    @property
-    def std_error(self) -> float:
-        if self.n < 2:
-            return 0.0
-        var = max(self.total_sq / self.n - self.mean**2, 0.0) * self.n / (self.n - 1)
-        return float(np.sqrt(var / self.n))

@@ -45,6 +45,7 @@ from hestonsim.schemes import (
     sample_log_return,
     simulate_multifactor_terminal,
     simulate_terminal,
+    step_plan,
     step_pois_ge,
     varswap_fair_strike_mc,
 )
@@ -361,7 +362,7 @@ def test_criterion_8_multifactor():
 
     lr, fwd, sigma = simulate_multifactor_terminal([m], T, 1, 4000, RngStream(801))
     rng = RngStream(801)
-    res = step_pois_ge(np.full(4000, m.v0), T, 1, m, rng)
+    res = step_pois_ge(np.full(4000, m.v0), step_plan(m, T, SchemeConfig("pois_ge", 1)), rng)
     z = rng.gen.standard_normal(4000)
     lr_ref = sample_log_return(m.v0, res.v_next, res.iv, T, m, z)
     bitwise = np.array_equal(lr, lr_ref)

@@ -171,9 +171,29 @@ def test_bessel_rv_large_argument():
 def test_bessel_rv_invalid_args():
     with pytest.raises(ParameterError):
         sample_bessel_rv(-1.5, 1.0, RngStream(1))
-    for z in (0.0, np.array([1.0, np.nan]), np.array([1.0, np.inf])):
+    for z in (np.array([1.0, np.nan]), np.array([1.0, np.inf])):
         with pytest.raises(ParameterError, match="finite and positive"):
             sample_bessel_rv(0.5, z, RngStream(1))
+
+
+@pytest.mark.parametrize("nu", [-0.99, -0.5, 0.0, 0.634, 4.0])
+def test_bessel_rv_zero_argument(nu):
+    # BES(nu, 0) is a point mass at 0; positive arguments beside it are unaffected.
+    assert sample_bessel_rv(nu, 0.0, RngStream(1)) == 0
+    z = np.array([0.0, 3.0, 0.0, 40.0])
+    draws = sample_bessel_rv(nu, z, RngStream(2))
+    assert draws[0] == draws[2] == 0
+    ref = sample_bessel_rv(nu, np.array([1.0, 3.0, 1.0, 40.0]), RngStream(2))
+    np.testing.assert_array_equal(draws[[1, 3]], ref[[1, 3]])
+
+
+def test_bessel_rv_underflowing_argument():
+    # At z ~ 1e-300, z^2/4 underflows to 0; the masked-out downward step must
+    # not divide by it, and the other draws stay as they were.
+    z = np.array([1e-300] + [5.0] * 99)
+    draws = sample_bessel_rv(0.5, z, RngStream(1))
+    assert draws[0] == 0
+    np.testing.assert_array_equal(draws[1:], sample_bessel_rv(0.5, np.full(100, 5.0), RngStream(1))[1:])
 
 
 def test_samplers_are_pure_functions_of_stream():

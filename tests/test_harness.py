@@ -6,9 +6,7 @@ from hestonsim.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
     compute_benchmark,
-    emit_rows_csv,
     emit_table,
-    merge_results,
     parse_table_csv,
     run_experiment,
 )
@@ -176,10 +174,3 @@ def test_emit_table_rejects_unknown_format():
         emit_table(res, "html")
 
 
-def test_merge_results_concatenates():
-    a = run_experiment(_call_spec(n_paths=50, n_reps=1))
-    b = run_experiment(_call_spec(n_paths=50, n_reps=1, case_label="IV-b"))
-    rows = merge_results([a, b])
-    assert [r.case for r in rows] == ["IV", "IV-b"]
-    text = emit_rows_csv(rows)
-    assert len(text.splitlines()) == 3

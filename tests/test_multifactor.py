@@ -8,7 +8,13 @@ from hestonsim.errors import ConfigurationError, ParameterError
 from hestonsim.model import ModelParams
 from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
-from hestonsim.schemes import sample_log_return, simulate_multifactor_terminal, step_pois_ge
+from hestonsim.schemes import (
+    SchemeConfig,
+    sample_log_return,
+    simulate_multifactor_terminal,
+    step_plan,
+    step_pois_ge,
+)
 
 
 def test_single_factor_matches_scalar_kernel_bitwise():
@@ -18,7 +24,7 @@ def test_single_factor_matches_scalar_kernel_bitwise():
     lr, fwd, sigma = simulate_multifactor_terminal([m], T, 2, n, RngStream(50))
 
     rng = RngStream(50)
-    res = step_pois_ge(np.full(n, m.v0), T, 2, m, rng)
+    res = step_pois_ge(np.full(n, m.v0), step_plan(m, T, SchemeConfig("pois_ge", 2)), rng)
     z = rng.gen.standard_normal(n)
     lr_ref = sample_log_return(m.v0, res.v_next, res.iv, T, m, z)
     np.testing.assert_array_equal(lr, lr_ref)

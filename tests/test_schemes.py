@@ -1,4 +1,5 @@
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
 from hestonsim.schemes import (
     SchemeConfig,
+    _batch_mean,
     _invgauss_from_moments,
     cond_forward,
     price_european_cmc,
@@ -32,6 +34,7 @@ from hestonsim.schemes import (
     simulate_terminal,
     step_ge,
     step_ig,
+    step_plan,
     step_pois_ge,
     step_pois_td,
     step_qem,
@@ -68,10 +71,10 @@ def test_scheme_config_accepts_valid():
 @pytest.mark.parametrize(
     "stepper",
     [
-        lambda v, h, m, rng: step_pois_ge(v, h, 0, m, rng),
-        lambda v, h, m, rng: step_pois_ge(v, h, 4, m, rng),
-        lambda v, h, m, rng: step_ge(v, h, 4, m, rng),
-        lambda v, h, m, rng: step_ig(v, h, m, rng),
+        lambda v, h, m, rng: step_pois_ge(v, step_plan(m, h, SchemeConfig("pois_ge")), rng),
+        lambda v, h, m, rng: step_pois_ge(v, step_plan(m, h, SchemeConfig("pois_ge", 4)), rng),
+        lambda v, h, m, rng: step_ge(v, step_plan(m, h, SchemeConfig("ge", 4)), rng),
+        lambda v, h, m, rng: step_ig(v, step_plan(m, h, SchemeConfig("ig")), rng),
     ],
 )
 def test_exact_scheme_iv_mean_matches_average_variance(name, stepper, request):
@@ -103,11 +106,11 @@ def test_td_scheme_iv_mean_small_h(kind):
 @pytest.mark.parametrize(
     "kind,stepper",
     [
-        ("pois_ge", lambda v, h, m, rng: step_pois_ge(v, h, 2, m, rng)),
-        ("ge", lambda v, h, m, rng: step_ge(v, h, 2, m, rng)),
-        ("ig", lambda v, h, m, rng: step_ig(v, h, m, rng)),
-        ("qem", lambda v, h, m, rng: step_qem(v, h, m, rng)),
-        ("pois_td", lambda v, h, m, rng: step_pois_td(v, h, m, rng)),
+        ("pois_ge", lambda v, h, m, rng: step_pois_ge(v, step_plan(m, h, SchemeConfig("pois_ge", 2)), rng)),
+        ("ge", lambda v, h, m, rng: step_ge(v, step_plan(m, h, SchemeConfig("ge", 2)), rng)),
+        ("ig", lambda v, h, m, rng: step_ig(v, step_plan(m, h, SchemeConfig("ig")), rng)),
+        ("qem", lambda v, h, m, rng: step_qem(v, step_plan(m, h, SchemeConfig("qem")), rng)),
+        ("pois_td", lambda v, h, m, rng: step_pois_td(v, step_plan(m, h, SchemeConfig("pois_td")), rng)),
     ],
 )
 def test_one_step_variance_transition_moments(kind, stepper):
@@ -136,7 +139,8 @@ def test_qe_branch_moment_matching(model, v, h):
     mean, var = terminal_variance_moments(v, h, model)
     psi = var / mean**2
     n = 1_000_000
-    res = step_qem(np.full(n, v), h, model, RngStream(24, (int(psi > 1.5),)))
+    res = step_qem(np.full(n, v), step_plan(model, h, SchemeConfig("qem")),
+                   RngStream(24, (int(psi > 1.5),)))
     se_mean = res.v_next.std() / np.sqrt(n)
     assert abs(res.v_next.mean() - mean) < 3 * se_mean
     se_var = np.std((res.v_next - res.v_next.mean()) ** 2) / np.sqrt(n)
@@ -151,10 +155,11 @@ def test_martingale_correction_preserves_forward(kind):
     n = 400_000
     v = np.full(n, model.v0)
     rng = RngStream(25, (ord(kind[-1]),))
+    plan = step_plan(model, h, SchemeConfig(kind, martingale_mode="price"))
     if kind == "qem":
-        res = step_qem(v, h, model, rng, martingale_mode="price")
+        res = step_qem(v, plan, rng)
     else:
-        res = step_pois_td(v, h, model, rng, martingale_mode="price")
+        res = step_pois_td(v, plan, rng)
     fwd = cond_forward(model.s0, v, res.v_next, res.iv, h, model, res.mart_price)
     est = np.exp((model.q - model.r) * h) * fwd
     se = est.std() / np.sqrt(n)
@@ -203,7 +208,8 @@ def test_pois_ge_k0_matches_manual_poisson_ig():
     # trunc_k = 0 is exactly the Poisson-conditioned IG special case.
     model = CASE_PRESETS["I"].model
     n = 1000
-    res = step_pois_ge(np.full(n, model.v0), 10.0, 0, model, RngStream(27))
+    res = step_pois_ge(np.full(n, model.v0), step_plan(model, 10.0, SchemeConfig("pois_ge")),
+                       RngStream(27))
     rng = RngStream(27)
     v_next, mu = sample_terminal_variance(np.full(n, model.v0), 10.0, model, rng)
     mom = iv_moments_pois(np.full(n, model.v0), v_next, mu, model, 10.0)
@@ -247,7 +253,7 @@ def test_pois_td_small_h_mean():
     v = 0.019
     h = 1e-3
     n = 200_000
-    res = step_pois_td(np.full(n, v), h, model, RngStream(29))
+    res = step_pois_td(np.full(n, v), step_plan(model, h, SchemeConfig("pois_td")), RngStream(29))
     assert res.iv.mean() / (v * h) == pytest.approx(1.0, abs=0.01)
 
 
@@ -328,3 +334,94 @@ def test_varswap_deterministic():
     a = varswap_fair_strike_mc(preset.model, 1.0, 4, cfg, 20_000, RngStream(36))
     b = varswap_fair_strike_mc(preset.model, 1.0, 4, cfg, 20_000, RngStream(36))
     assert a == b
+
+
+# Case I with xi in {1.5, 2, 3} and Case IV with xi = 2, kappa = 0.1: gamma
+# draws of tiny shape underflow, so variance endpoints of exactly 0 occur.
+_ZERO_VARIANCE_CASES = {
+    "I-xi1.5": ("I", dict(xi=1.5)),
+    "I-xi2": ("I", dict(xi=2.0)),
+    "I-xi3": ("I", dict(xi=3.0)),
+    "IV-xi2-kappa0.1": ("IV", dict(xi=2.0, kappa=0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_VARIANCE_CASES))
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SchemeConfig("pois_ge", trunc_k=2, n_steps=4),
+        SchemeConfig("ge", trunc_k=1, n_steps=4),
+        SchemeConfig("ig", n_steps=4),
+        SchemeConfig("qem", n_steps=40, martingale_mode="price"),
+        SchemeConfig("pois_td", n_steps=40, martingale_mode="price"),
+    ],
+    ids=lambda c: c.kind,
+)
+def test_zero_variance_endpoints(case, cfg):
+    name, changes = _ZERO_VARIANCE_CASES[case]
+    preset = CASE_PRESETS[name]
+    m, T, X = replace(preset.model, **changes), preset.maturity, preset.strike
+    price, _ = price_european_cmc(m, T, X, cfg, 40_000, RngStream(505))
+    upper = m.s0 * np.exp(-m.q * T)
+    lower = max(upper - X * np.exp(-m.r * T), 0.0)
+    assert np.isfinite(price) and lower <= price <= upper
+    spot, se = reconstruct_spot(m, T, cfg, 40_000, RngStream(506))
+    assert np.isfinite(spot)
+    # ge carries a known bias in the spot reconstruction.
+    if cfg.kind in ("pois_ge", "ig", "pois_td"):
+        assert abs(spot - m.s0) < 3 * se
+
+
+def test_qem_plan_skips_series_constants_at_large_kappa_h():
+    # kappa*h/2 = 1000 overflows the series coefficients and phi; qem needs neither.
+    m = ModelParams(s0=100, v0=0.04, kappa=2000.0, theta=0.04, xi=1.0, rho=-0.5)
+    cfg = SchemeConfig("qem", martingale_mode="price")
+    assert step_plan(m, 1.0, cfg).coeffs is None
+    price, se = price_european_cmc(m, 1.0, 100.0, cfg, 1000, RngStream(40))
+    assert np.isfinite(price) and np.isfinite(se)
+
+
+def test_standard_error_does_not_cancel():
+    # Four full batches of 1e8 + N(0, 1): a raw sum of squares loses every
+    # digit of the spread to cancellation against n * mean^2.
+    draws = []
+
+    def batch(nb, sub):
+        draws.append(1e8 + sub.gen.standard_normal(nb))
+        return draws[-1]
+
+    mean, se = _batch_mean(40_000, RngStream(41), batch)
+    x = np.concatenate(draws)
+    assert mean == pytest.approx(x.mean(), rel=1e-15)
+    assert se == pytest.approx(x.std(ddof=1) / np.sqrt(x.size), rel=1e-6)
+
+
+# Recorded estimates and SEs; any change to the draw sequence shows here.
+@pytest.mark.parametrize(
+    "driver,cfg,expected",
+    [
+        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.759773912647261, 0.03618273814659747)),
+        ("call", SchemeConfig("ge", trunc_k=2), (6.785236268864784, 0.036071229140363356)),
+        ("call", SchemeConfig("ig", n_steps=2), (6.764422502014079, 0.03615946325252426)),
+        ("call", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
+         (6.800240468912559, 0.03758645367255599)),
+        ("call", SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
+         (6.604767353181767, 0.032900731669059234)),
+        ("varswap", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
+         (0.20771462383992806, 0.002050937651018761)),
+        ("varswap", SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),
+         (0.21291826732098323, 0.001956537867337996)),
+    ],
+    ids=["call-pois_ge", "call-ge", "call-ig", "call-qem", "call-pois_td",
+         "varswap-qem", "varswap-pois_td"],
+)
+def test_draw_sequence_is_pinned(driver, cfg, expected):
+    # 12 000 paths cross the batch boundary at BATCH_SIZE = 10 000.
+    if driver == "call":
+        p = CASE_PRESETS["III"]
+        out = price_european_cmc(p.model, p.maturity, p.strike, cfg, 12_000, RngStream(77))
+    else:
+        p = CASE_PRESETS["IV"]
+        out = varswap_fair_strike_mc(p.model, p.maturity, 4, cfg, 12_000, RngStream(78))
+    assert tuple(map(float, out)) == expected
