@@ -6,8 +6,8 @@ Two evaluation branches are used:
   in log space so that neither large orders nor large arguments overflow, and
 * the large-argument exponential-scaled (Hankel) asymptotic expansion.
 
-Both branches compute ``ln(exp(-z) I_nu(z))``; the unscaled value is recovered
-by exponentiation where representable.  All terms of the power series are
+Both branches compute ``ln(exp(-z) I_nu(z))``, which stays representable where
+I_nu itself overflows (z beyond ~709).  All terms of the power series are
 positive, so the series branch carries no cancellation and is accurate to
 near machine precision for any admissible order.
 
@@ -96,11 +96,6 @@ def _ive_series(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, ratio
 
 
-def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """``ln(e^-z I_nu)`` from :func:`_ive_series`, discarding the ratio."""
-    return _ive_series(nu, z)[0]
-
-
 def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
     """Asymptotic sum S with ``e^-z I_nu(z) ~ S / sqrt(2 pi z)``, cut at its smallest term."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -143,19 +138,7 @@ def log_bessel_iv_scaled(nu: float, z):
     if asym.any():
         out[asym] = _log_ive_asymptotic(nu, z_arr[asym])
     if not asym.all():
-        out[~asym] = _log_ive_series(nu, z_arr[~asym])
-    return out if np.ndim(z) else float(out[0])
-
-
-def bessel_iv(nu: float, z):
-    """Return ``I_nu(z)`` elementwise; overflows to ``inf`` for z beyond ~709.
-
-    Use :func:`log_bessel_iv_scaled` when the unscaled value is not
-    representable in double precision.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_args(nu, z_arr)
-    out = np.exp(log_bessel_iv_scaled(nu, z_arr) + z_arr)
+        out[~asym] = _ive_series(nu, z_arr[~asym])[0]
     return out if np.ndim(z) else float(out[0])
 
 

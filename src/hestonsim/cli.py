@@ -38,7 +38,7 @@ from .harness import (
 )
 from .model import ModelParams
 from .presets import CASE_PRESETS, get_case
-from .schemes import SchemeConfig
+from .schemes import TIME_DISCRETIZATION_KINDS, SchemeConfig
 
 _SCHEME_FLAGS = {
     "ge": "ge",
@@ -61,12 +61,48 @@ _GRID_STRIKES = (100.0, 110.0, 120.0)
 _OPT_TABLES = {"opt1": "I", "opt2": "II", "opt3": "III", "opt4": "IV"}
 _VAR_TABLES = {"var3": "III", "var4": "IV"}
 
+#: Martingale correction of each time-discretization kind in a variance swap.
+_VARSWAP_MODES = {"qem": "price", "pois_td": "return_variance"}
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("HESTONSIM_JOBS", "1")))
-    except ValueError:
-        return 1
+
+def _call_config(kind: str, trunc_k: int, n_steps: int) -> SchemeConfig:
+    """Call-pricing config; the time-discretization schemes correct the price."""
+    mode = "price" if kind in TIME_DISCRETIZATION_KINDS else "none"
+    return SchemeConfig(kind, trunc_k=trunc_k, n_steps=n_steps, martingale_mode=mode)
+
+
+def _varswap_config(kind: str, n_periods: int) -> SchemeConfig:
+    return SchemeConfig(kind, n_steps=n_periods, martingale_mode=_VARSWAP_MODES[kind])
+
+
+_GRID_CONFIGS = tuple(_call_config(kind, k, n) for kind, k, n in (
+    ("ge", 1, 1), ("pois_ge", 1, 1), ("ig", 0, 2),
+    ("pois_ge", 0, 2), ("qem", 0, 4), ("pois_td", 0, 4),
+))
+
+
+def _spec(run, label: str, model: ModelParams, maturity: float, configs, *,
+          strike: float | None, n_periods: int | None) -> ExperimentSpec:
+    """One experiment over ``configs``, with paths, reps, seed and jobs from ``run``.
+
+    Without a period count it prices a call at ``strike`` against the Fourier
+    oracle; with one it prices a variance swap against its closed form.
+    """
+    call = n_periods is None
+    return ExperimentSpec(
+        case_label=label,
+        model=model,
+        maturity=maturity,
+        product="european_call" if call else "variance_swap",
+        configs=tuple(configs),
+        n_paths=run["paths"],
+        n_reps=run["reps"],
+        seed=run["seed"],
+        strike=strike,
+        n_periods=n_periods,
+        benchmark="fourier" if call else "varswap_closed_form",
+        n_jobs=run["jobs"],
+    )
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -108,42 +144,48 @@ def model_from_config(values: dict[str, str], path: str) -> ModelParams:
     return ModelParams(**kwargs)
 
 
+def _case_from_config(values: dict[str, str], path: str) -> tuple[ModelParams, float, float]:
+    """Return (model, maturity, strike); the strike defaults to the spot."""
+    model = model_from_config(values, path)
+    maturity = _convert(path, "product.maturity", values.get("product.maturity", 0))
+    if maturity <= 0:
+        raise ConfigurationError("config must set product.maturity > 0")
+    strike = _convert(path, "product.strike", values.get("product.strike", model.s0))
+    return model, maturity, strike
+
+
 def _resolve_case(args) -> tuple[str, ModelParams, float, float]:
-    """Return (label, model, maturity, strike) from --case or --params."""
+    """Return (label, model, maturity, strike) from --case or --params and --strike."""
     if getattr(args, "params", None):
-        values = parse_config_file(args.params)
-        model = model_from_config(values, args.params)
-        maturity = _convert(args.params, "product.maturity", values.get("product.maturity", 0))
-        if maturity <= 0:
-            raise ConfigurationError("config must set product.maturity > 0")
-        strike = _convert(args.params, "product.strike", values.get("product.strike", model.s0))
-        return "custom", model, maturity, strike
-    if getattr(args, "case", None):
+        label = "custom"
+        model, maturity, strike = _case_from_config(parse_config_file(args.params), args.params)
+    elif getattr(args, "case", None):
         preset = get_case(args.case)
-        return preset.name, preset.model, preset.maturity, preset.strike
-    raise ConfigurationError("one of --case or --params is required")
+        label, model, maturity, strike = preset.name, preset.model, preset.maturity, preset.strike
+    else:
+        raise ConfigurationError("one of --case or --params is required")
+    if getattr(args, "strike", None) is not None:
+        strike = args.strike
+    return label, model, maturity, strike
 
 
-def _scheme_config(args) -> SchemeConfig:
-    kind = _SCHEME_FLAGS[args.scheme]
-    mode = "price" if kind in ("qem", "pois_td") else "none"
-    return SchemeConfig(kind=kind, trunc_k=args.trunc_k, n_steps=args.steps,
-                        martingale_mode=mode)
-
-
-def _write_output(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
+def _write_results(specs: list[ExperimentSpec], args) -> int:
+    """Run ``specs`` in order and write all their rows as one CSV or Markdown text."""
+    results = [run_experiment(spec) for spec in specs]
+    if args.format == "csv":
+        text = emit_rows_csv([row for res in results for row in res.rows])
+    else:
+        text = "\n".join(emit_table(res, args.format) for res in results)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     print(text, end="" if text.endswith("\n") else "\n")
+    return 0
 
 
 def _cmd_exact(args) -> int:
-    label, model, maturity, strike = _resolve_case(args)
-    if args.strike is not None:
-        strike = args.strike
-    price = price_european_exact(model, maturity, strike)
-    print(f"{price:.8f}")
+    _, model, maturity, strike = _resolve_case(args)
+    print(f"{price_european_exact(model, maturity, strike):.8f}")
     return 0
 
 
@@ -160,44 +202,20 @@ def specs_from_config(values: dict[str, str], args) -> list[ExperimentSpec]:
     product generates one experiment per parameter combination.
     """
     path = args.params
-    base = model_from_config(values, path)
-    maturity = _convert(path, "product.maturity", values.get("product.maturity", 0))
-    if maturity <= 0:
-        raise ConfigurationError("config must set product.maturity > 0")
-    strike = _convert(path, "product.strike", values.get("product.strike", base.s0))
+    base, maturity, strike = _case_from_config(values, path)
     run = {name: _convert(path, f"run.{name}", values.get(f"run.{name}", getattr(args, name)), int)
            for name in ("trunc_k", "steps", "paths", "reps", "seed", "jobs")}
     scheme = values.get("run.scheme", args.scheme)
     if scheme not in _SCHEME_FLAGS:
         raise ConfigurationError(f"unknown run.scheme {scheme!r}")
-    kind = _SCHEME_FLAGS[scheme]
-    cfg = SchemeConfig(
-        kind=kind,
-        trunc_k=run["trunc_k"],
-        n_steps=run["steps"],
-        martingale_mode="price" if kind in ("qem", "pois_td") else "none",
-    )
-    specs = []
+    cfg = _call_config(_SCHEME_FLAGS[scheme], run["trunc_k"], run["steps"])
     grid = "grid.xi" in values or "grid.kappa" in values
+    specs = []
     for xi in _grid_values(values, "grid.xi", base.xi, path):
         for kappa in _grid_values(values, "grid.kappa", base.kappa, path):
-            model = replace(base, xi=xi, kappa=kappa)
             label = f"custom[xi={xi:g},kappa={kappa:g}]" if grid else "custom"
-            specs.append(
-                ExperimentSpec(
-                    case_label=label,
-                    model=model,
-                    maturity=maturity,
-                    product="european_call",
-                    configs=(cfg,),
-                    n_paths=run["paths"],
-                    n_reps=run["reps"],
-                    seed=run["seed"],
-                    strike=strike,
-                    benchmark="fourier",
-                    n_jobs=run["jobs"],
-                )
-            )
+            specs.append(_spec(run, label, replace(base, xi=xi, kappa=kappa), maturity, (cfg,),
+                               strike=strike, n_periods=None))
     return specs
 
 
@@ -207,159 +225,52 @@ def _cmd_price(args) -> int:
         if "run.scheme" in values or "grid.xi" in values or "grid.kappa" in values:
             if args.scheme is None and "run.scheme" not in values:
                 raise ConfigurationError("--scheme or run.scheme is required")
-            results = [run_experiment(spec) for spec in specs_from_config(values, args)]
-            if args.format == "csv":
-                text = emit_rows_csv([row for res in results for row in res.rows])
-            else:
-                text = "\n".join(emit_table(res, args.format) for res in results)
-            _write_output(text, args.out)
-            return 0
+            return _write_results(specs_from_config(values, args), args)
     if args.scheme is None:
         raise ConfigurationError("--scheme is required")
     label, model, maturity, strike = _resolve_case(args)
-    if args.strike is not None:
-        strike = args.strike
-    spec = ExperimentSpec(
-        case_label=label,
-        model=model,
-        maturity=maturity,
-        product="european_call",
-        configs=(_scheme_config(args),),
-        n_paths=args.paths,
-        n_reps=args.reps,
-        seed=args.seed,
-        strike=strike,
-        benchmark="fourier",
-        n_jobs=args.jobs,
-    )
-    _write_output(emit_table(run_experiment(spec), args.format), args.out)
-    return 0
+    cfg = _call_config(_SCHEME_FLAGS[args.scheme], args.trunc_k, args.steps)
+    return _write_results([_spec(vars(args), label, model, maturity, (cfg,),
+                                 strike=strike, n_periods=None)], args)
 
 
 def _cmd_varswap(args) -> int:
     label, model, maturity, _ = _resolve_case(args)
     kind = _SCHEME_FLAGS[args.scheme]
-    if kind not in ("qem", "pois_td"):
+    if kind not in _VARSWAP_MODES:
         raise ConfigurationError("varswap supports only qem and pois-td")
-    mode = "return_variance" if kind == "pois_td" else "price"
-    cfg = SchemeConfig(kind=kind, n_steps=args.periods, martingale_mode=mode)
-    spec = ExperimentSpec(
-        case_label=label,
-        model=model,
-        maturity=maturity,
-        product="variance_swap",
-        configs=(cfg,),
-        n_paths=args.paths,
-        n_reps=args.reps,
-        seed=args.seed,
-        n_periods=args.periods,
-        benchmark="varswap_closed_form",
-        n_jobs=args.jobs,
-    )
-    _write_output(emit_table(run_experiment(spec), args.format), args.out)
-    return 0
-
-
-def _bench_option_table(case_name: str, args) -> list:
-    preset = get_case(case_name)
-    configs = []
-    for k in _GE_LEVELS:
-        configs.append(SchemeConfig("ge", trunc_k=k, n_steps=1))
-    for k in _GE_LEVELS:
-        configs.append(SchemeConfig("pois_ge", trunc_k=k, n_steps=1))
-    for n in _IG_STEPS:
-        configs.append(SchemeConfig("ig", n_steps=n))
-    for n in _IG_STEPS:
-        configs.append(SchemeConfig("pois_ge", trunc_k=0, n_steps=n))
-    for n in _TD_STEPS[case_name]:
-        configs.append(SchemeConfig("qem", n_steps=n, martingale_mode="price"))
-    for n in _TD_STEPS[case_name]:
-        configs.append(SchemeConfig("pois_td", n_steps=n, martingale_mode="price"))
-    spec = ExperimentSpec(
-        case_label=preset.name,
-        model=preset.model,
-        maturity=preset.maturity,
-        product="european_call",
-        configs=tuple(configs),
-        n_paths=args.paths,
-        n_reps=args.reps,
-        seed=args.seed,
-        strike=preset.strike,
-        benchmark="fourier",
-        n_jobs=args.jobs,
-    )
-    return [run_experiment(spec)]
-
-
-def _bench_varswap_table(case_name: str, args) -> list:
-    preset = get_case(case_name)
-    results = []
-    for n in _VARSWAP_PERIODS:
-        spec = ExperimentSpec(
-            case_label=preset.name,
-            model=preset.model,
-            maturity=preset.maturity,
-            product="variance_swap",
-            configs=(
-                SchemeConfig("qem", n_steps=n, martingale_mode="price"),
-                SchemeConfig("pois_td", n_steps=n, martingale_mode="return_variance"),
-            ),
-            n_paths=args.paths,
-            n_reps=args.reps,
-            seed=args.seed,
-            n_periods=n,
-            benchmark="varswap_closed_form",
-            n_jobs=args.jobs,
-        )
-        results.append(run_experiment(spec))
-    return results
-
-
-def _bench_grid_table(args) -> list:
-    base = get_case("IV")
-    configs = (
-        SchemeConfig("ge", trunc_k=1, n_steps=1),
-        SchemeConfig("pois_ge", trunc_k=1, n_steps=1),
-        SchemeConfig("ig", n_steps=2),
-        SchemeConfig("pois_ge", trunc_k=0, n_steps=2),
-        SchemeConfig("qem", n_steps=4, martingale_mode="price"),
-        SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
-    )
-    results = []
-    for xi in _GRID_XI:
-        for kappa in _GRID_KAPPA:
-            model = replace(base.model, xi=xi, kappa=kappa)
-            for strike in _GRID_STRIKES:
-                spec = ExperimentSpec(
-                    case_label=f"IV[xi={xi:g},kappa={kappa:g},X={strike:g}]",
-                    model=model,
-                    maturity=base.maturity,
-                    product="european_call",
-                    configs=configs,
-                    n_paths=args.paths,
-                    n_reps=args.reps,
-                    seed=args.seed,
-                    strike=strike,
-                    benchmark="fourier",
-                    n_jobs=args.jobs,
-                )
-                results.append(run_experiment(spec))
-    return results
+    cfg = _varswap_config(kind, args.periods)
+    return _write_results([_spec(vars(args), label, model, maturity, (cfg,),
+                                 strike=None, n_periods=args.periods)], args)
 
 
 def _cmd_bench(args) -> int:
+    run = vars(args)
     if args.table in _OPT_TABLES:
-        results = _bench_option_table(_OPT_TABLES[args.table], args)
+        case = get_case(_OPT_TABLES[args.table])
+        configs = (
+            [_call_config("ge", k, 1) for k in _GE_LEVELS]
+            + [_call_config("pois_ge", k, 1) for k in _GE_LEVELS]
+            + [_call_config("ig", 0, n) for n in _IG_STEPS]
+            + [_call_config("pois_ge", 0, n) for n in _IG_STEPS]
+            + [_call_config(kind, 0, n) for kind in TIME_DISCRETIZATION_KINDS
+               for n in _TD_STEPS[case.name]]
+        )
+        specs = [_spec(run, case.name, case.model, case.maturity, configs,
+                       strike=case.strike, n_periods=None)]
     elif args.table in _VAR_TABLES:
-        results = _bench_varswap_table(_VAR_TABLES[args.table], args)
+        case = get_case(_VAR_TABLES[args.table])
+        specs = [_spec(run, case.name, case.model, case.maturity,
+                       [_varswap_config(kind, n) for kind in _VARSWAP_MODES],
+                       strike=None, n_periods=n)
+                 for n in _VARSWAP_PERIODS]
     else:
-        results = _bench_grid_table(args)
-    if args.format == "csv":
-        text = emit_rows_csv([row for res in results for row in res.rows])
-    else:
-        text = "\n".join(emit_table(res, args.format) for res in results)
-    _write_output(text, args.out)
-    return 0
+        case = get_case("IV")
+        specs = [_spec(run, f"IV[xi={xi:g},kappa={kappa:g},X={strike:g}]",
+                       replace(case.model, xi=xi, kappa=kappa), case.maturity, _GRID_CONFIGS,
+                       strike=strike, n_periods=None)
+                 for xi in _GRID_XI for kappa in _GRID_KAPPA for strike in _GRID_STRIKES]
+    return _write_results(specs, args)
 
 
 def _add_case_args(p: argparse.ArgumentParser):
@@ -371,7 +282,7 @@ def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument("--paths", type=int, default=160_000, help="paths per repetition")
     p.add_argument("--reps", type=int, default=10, help="number of repetitions")
     p.add_argument("--seed", type=int, default=1, help="root random seed")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    p.add_argument("--jobs", type=int, default=os.environ.get("HESTONSIM_JOBS", "1"),
                    help="worker threads over repetitions (env HESTONSIM_JOBS)")
     p.add_argument("--out", help="write the table to this file as well as stdout")
     p.add_argument("--format", choices=("csv", "md", "markdown"), default="csv")

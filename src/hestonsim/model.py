@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,17 +260,11 @@ def _check_endpoints(*vs) -> None:
             raise ParameterError("variance endpoints must be nonnegative")
 
 
-class IvMoments:
+class IvMoments(NamedTuple):
     """Mean and variance of the conditional integrated variance (array-valued)."""
 
-    __slots__ = ("mean", "variance")
-
-    def __init__(self, mean, variance):
-        self.mean = mean
-        self.variance = variance
-
-    def __iter__(self):
-        return iter((self.mean, self.variance))
+    mean: np.ndarray
+    variance: np.ndarray
 
 
 def eta_moments(v0, v_t, model: ModelParams, h: float):

@@ -1,3 +1,7 @@
+import csv
+import hashlib
+import io
+
 import pytest
 
 from hestonsim.cli import main, parse_config_file
@@ -192,3 +196,60 @@ def test_malformed_config_value_is_runtime_error(tmp_path, capsys, extra, key):
                         "--paths", "100", "--reps", "1")
     assert code == 1
     assert err.startswith("error:") and str(cfg) in err and key in err
+
+
+def test_jobs_env_malformed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HESTONSIM_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--table", "var3", "--paths", "10", "--reps", "1"])
+    assert exc.value.code == 2
+    assert "argument --jobs: invalid int value" in capsys.readouterr().err
+
+
+def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
+    monkeypatch.setenv("HESTONSIM_JOBS", "0")
+    code, _, err = _run(capsys, "bench", "--table", "var3", "--paths", "10", "--reps", "1")
+    assert code == 1
+    assert "n_jobs must be >= 1" in err
+
+
+# SHA-256 of each command's CSV output with the wall_seconds column removed,
+# at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
+# a mismatch means an estimate, a benchmark or a label changed.
+_PINNED_CSV = {
+    "bench_opt1": "5316e975265edf49346ecbc171c7652d63ddd30463162c3a6c8718700729b574",
+    "bench_var3": "315964e30ce6744f0e0b34e3273c1f22a00a17922c3c4477431a58adaac2904a",
+    "bench_grid4": "64872732df664c78db8caea61e67b57e3d1985a9418dd020741fde41339c5118",
+    "price_flags": "48adf2c9d1b52d7032f4b2d5b5a5430fefb853ad8a2bd8882ed502262bf749b3",
+    "price_params": "b3bca45662585eb1ba5d1332a073f7cf925164931293b6e591e28331ec88e242",
+    "price_grid": "3146156a0ca0e9a085f07b8d852a9b1a7bfb19e8a611baf41dba443a3f33243b",
+    "varswap": "48a3035a27068a15cc4dc4eb97667a409059aa25cfac6254633961841c0ba758",
+}
+
+
+def _pinned_argv(name, tmp_path):
+    case3 = tmp_path / "case3.cfg"
+    case3.write_text(CASE_III_CONFIG)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(CASE_III_CONFIG + "run.scheme = pois-td\nrun.steps = 4\n"
+                    "grid.xi = 0.61,0.3\ngrid.kappa = 6.21,1\n")
+    return {
+        "bench_opt1": ["bench", "--table", "opt1"],
+        "bench_var3": ["bench", "--table", "var3"],
+        "bench_grid4": ["bench", "--table", "grid4"],
+        "price_flags": ["price", "--case", "IV", "--scheme", "pois-ge", "--K", "1",
+                        "--strike", "110"],
+        "price_params": ["price", "--params", str(case3), "--scheme", "ig", "--steps", "2"],
+        "price_grid": ["price", "--params", str(grid)],
+        "varswap": ["varswap", "--case", "IV", "--scheme", "pois-td", "--periods", "4"],
+    }[name] + ["--paths", "500", "--reps", "2"]
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CSV))
+def test_cli_csv_is_pinned(tmp_path, capsys, name):
+    code, out, _ = _run(capsys, *_pinned_argv(name, tmp_path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][-1] == "wall_seconds"
+    text = "\n".join(",".join(row[:-1]) for row in rows) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CSV[name]
