@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, NumericalError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, check_factors
 
 # exp() overflows double precision beyond this exponent magnitude.
 _MAX_EXP_ARG = 700.0
@@ -72,14 +72,9 @@ def heston_charfn_multifactor(u, models: list[ModelParams], T: float):
 
     The factors contribute multiplicatively; all must share (s0, r, q).
     """
-    if not models:
-        raise ParameterError("at least one factor is required")
+    head = check_factors(models)
     if T <= 0:
         raise ParameterError("T must be positive")
-    head = models[0]
-    for m in models[1:]:
-        if (m.s0, m.r, m.q) != (head.s0, head.r, head.q):
-            raise ParameterError("factors must share s0, r, and q")
     u = np.asarray(u, dtype=complex)
     log_cf = 1j * u * (head.r - head.q) * T
     for m in models:

@@ -30,23 +30,10 @@ from dataclasses import replace
 
 from .errors import ConfigurationError, HestonSimError
 from .analytic import price_european_exact
-from .harness import (
-    ExperimentSpec,
-    emit_rows_csv,
-    emit_table,
-    run_experiment,
-)
+from .harness import ExperimentSpec, emit_table, run_experiment
 from .model import ModelParams
 from .presets import CASE_PRESETS, get_case
-from .schemes import TIME_DISCRETIZATION_KINDS, SchemeConfig
-
-_SCHEME_FLAGS = {
-    "ge": "ge",
-    "pois-ge": "pois_ge",
-    "ig": "ig",
-    "qem": "qem",
-    "pois-td": "pois_td",
-}
+from .schemes import SCHEME_FLAGS, TIME_DISCRETIZATION_KINDS, SchemeConfig
 
 #: Per-case step counts of the time-discretization rows in the option tables.
 _TD_STEPS = {"I": (20, 40, 80), "II": (30, 60, 120), "III": (2, 4, 8), "IV": (2, 4, 8)}
@@ -81,9 +68,9 @@ _GRID_CONFIGS = tuple(_call_config(kind, k, n) for kind, k, n in (
 ))
 
 
-def _spec(run, label: str, model: ModelParams, maturity: float, configs, *,
-          strike: float | None, n_periods: int | None) -> ExperimentSpec:
-    """One experiment over ``configs``, with paths, reps, seed and jobs from ``run``.
+def _spec(args, values: dict[str, str], label: str, model: ModelParams, maturity: float,
+          configs, *, strike: float | None, n_periods: int | None) -> ExperimentSpec:
+    """One experiment over ``configs``; paths, reps, seed and jobs come from :func:`_setting`.
 
     Without a period count it prices a call at ``strike`` against the Fourier
     oracle; with one it prices a variance swap against its closed form.
@@ -95,13 +82,13 @@ def _spec(run, label: str, model: ModelParams, maturity: float, configs, *,
         maturity=maturity,
         product="european_call" if call else "variance_swap",
         configs=tuple(configs),
-        n_paths=run["paths"],
-        n_reps=run["reps"],
-        seed=run["seed"],
+        n_paths=_setting(args, values, "paths"),
+        n_reps=_setting(args, values, "reps"),
+        seed=_setting(args, values, "seed"),
         strike=strike,
         n_periods=n_periods,
         benchmark="fourier" if call else "varswap_closed_form",
-        n_jobs=run["jobs"],
+        n_jobs=_setting(args, values, "jobs"),
     )
 
 
@@ -154,12 +141,25 @@ def _case_from_config(values: dict[str, str], path: str) -> tuple[ModelParams, f
     return model, maturity, strike
 
 
-def _resolve_case(args) -> tuple[str, ModelParams, float, float]:
-    """Return (label, model, maturity, strike) from --case or --params and --strike."""
-    if getattr(args, "params", None):
+def _params(args) -> dict[str, str]:
+    """The keys of the --params file, or none without one."""
+    return parse_config_file(args.params) if args.params else {}
+
+
+def _setting(args, values: dict[str, str], name: str):
+    """A run setting: the ``run.<name>`` key of the --params file if it has one, else the flag."""
+    key = f"run.{name}"
+    if key not in values:
+        return getattr(args, name)
+    return values[key] if name == "scheme" else _convert(args.params, key, values[key], int)
+
+
+def _resolve_case(args, values: dict[str, str]) -> tuple[str, ModelParams, float, float]:
+    """Return (label, model, maturity, strike) from --case or --params ``values``, then --strike."""
+    if args.params:
         label = "custom"
-        model, maturity, strike = _case_from_config(parse_config_file(args.params), args.params)
-    elif getattr(args, "case", None):
+        model, maturity, strike = _case_from_config(values, args.params)
+    elif args.case:
         preset = get_case(args.case)
         label, model, maturity, strike = preset.name, preset.model, preset.maturity, preset.strike
     else:
@@ -170,12 +170,8 @@ def _resolve_case(args) -> tuple[str, ModelParams, float, float]:
 
 
 def _write_results(specs: list[ExperimentSpec], args) -> int:
-    """Run ``specs`` in order and write all their rows as one CSV or Markdown text."""
-    results = [run_experiment(spec) for spec in specs]
-    if args.format == "csv":
-        text = emit_rows_csv([row for res in results for row in res.rows])
-    else:
-        text = "\n".join(emit_table(res, args.format) for res in results)
+    """Run ``specs`` in order and write all their results as one table text."""
+    text = emit_table([run_experiment(spec) for spec in specs], args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -184,7 +180,7 @@ def _write_results(specs: list[ExperimentSpec], args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    _, model, maturity, strike = _resolve_case(args)
+    _, model, maturity, strike = _resolve_case(args, _params(args))
     print(f"{price_european_exact(model, maturity, strike):.8f}")
     return 0
 
@@ -192,60 +188,42 @@ def _cmd_exact(args) -> int:
 def _grid_values(values: dict[str, str], key: str, default: float, path: str) -> list[float]:
     if key not in values:
         return [default]
-    return [_convert(path, key, tok) for tok in values[key].split(",") if tok.strip()]
-
-
-def specs_from_config(values: dict[str, str], args) -> list[ExperimentSpec]:
-    """Build experiment specs from ``run.*``/``grid.*`` config keys.
-
-    ``grid.xi`` and ``grid.kappa`` are comma-separated lists whose cross
-    product generates one experiment per parameter combination.
-    """
-    path = args.params
-    base, maturity, strike = _case_from_config(values, path)
-    run = {name: _convert(path, f"run.{name}", values.get(f"run.{name}", getattr(args, name)), int)
-           for name in ("trunc_k", "steps", "paths", "reps", "seed", "jobs")}
-    scheme = values.get("run.scheme", args.scheme)
-    if scheme not in _SCHEME_FLAGS:
-        raise ConfigurationError(f"unknown run.scheme {scheme!r}")
-    cfg = _call_config(_SCHEME_FLAGS[scheme], run["trunc_k"], run["steps"])
-    grid = "grid.xi" in values or "grid.kappa" in values
-    specs = []
-    for xi in _grid_values(values, "grid.xi", base.xi, path):
-        for kappa in _grid_values(values, "grid.kappa", base.kappa, path):
-            label = f"custom[xi={xi:g},kappa={kappa:g}]" if grid else "custom"
-            specs.append(_spec(run, label, replace(base, xi=xi, kappa=kappa), maturity, (cfg,),
-                               strike=strike, n_periods=None))
-    return specs
+    grid = [_convert(path, key, tok) for tok in values[key].split(",") if tok.strip()]
+    if not grid:
+        raise ConfigurationError(f"{path}: {key} lists no values")
+    return grid
 
 
 def _cmd_price(args) -> int:
-    if args.params:
-        values = parse_config_file(args.params)
-        if "run.scheme" in values or "grid.xi" in values or "grid.kappa" in values:
-            if args.scheme is None and "run.scheme" not in values:
-                raise ConfigurationError("--scheme or run.scheme is required")
-            return _write_results(specs_from_config(values, args), args)
-    if args.scheme is None:
-        raise ConfigurationError("--scheme is required")
-    label, model, maturity, strike = _resolve_case(args)
-    cfg = _call_config(_SCHEME_FLAGS[args.scheme], args.trunc_k, args.steps)
-    return _write_results([_spec(vars(args), label, model, maturity, (cfg,),
-                                 strike=strike, n_periods=None)], args)
+    """Price one scheme over the grid.* cross product, or at the case's (xi, kappa) alone."""
+    values = _params(args)
+    label, base, maturity, strike = _resolve_case(args, values)
+    scheme = _setting(args, values, "scheme")
+    if scheme is None:
+        raise ConfigurationError("--scheme or run.scheme is required")
+    if scheme not in SCHEME_FLAGS:
+        raise ConfigurationError(f"unknown run.scheme {scheme!r}")
+    cfg = _call_config(SCHEME_FLAGS[scheme], _setting(args, values, "trunc_k"),
+                       _setting(args, values, "steps"))
+    grid = "grid.xi" in values or "grid.kappa" in values
+    specs = []
+    for xi in _grid_values(values, "grid.xi", base.xi, args.params):
+        for kappa in _grid_values(values, "grid.kappa", base.kappa, args.params):
+            name = f"custom[xi={xi:g},kappa={kappa:g}]" if grid else label
+            specs.append(_spec(args, values, name, replace(base, xi=xi, kappa=kappa), maturity,
+                               (cfg,), strike=strike, n_periods=None))
+    return _write_results(specs, args)
 
 
 def _cmd_varswap(args) -> int:
-    label, model, maturity, _ = _resolve_case(args)
-    kind = _SCHEME_FLAGS[args.scheme]
-    if kind not in _VARSWAP_MODES:
-        raise ConfigurationError("varswap supports only qem and pois-td")
-    cfg = _varswap_config(kind, args.periods)
-    return _write_results([_spec(vars(args), label, model, maturity, (cfg,),
+    values = _params(args)
+    label, model, maturity, _ = _resolve_case(args, values)
+    cfg = _varswap_config(SCHEME_FLAGS[args.scheme], args.periods)
+    return _write_results([_spec(args, values, label, model, maturity, (cfg,),
                                  strike=None, n_periods=args.periods)], args)
 
 
 def _cmd_bench(args) -> int:
-    run = vars(args)
     if args.table in _OPT_TABLES:
         case = get_case(_OPT_TABLES[args.table])
         configs = (
@@ -256,17 +234,17 @@ def _cmd_bench(args) -> int:
             + [_call_config(kind, 0, n) for kind in TIME_DISCRETIZATION_KINDS
                for n in _TD_STEPS[case.name]]
         )
-        specs = [_spec(run, case.name, case.model, case.maturity, configs,
+        specs = [_spec(args, {}, case.name, case.model, case.maturity, configs,
                        strike=case.strike, n_periods=None)]
     elif args.table in _VAR_TABLES:
         case = get_case(_VAR_TABLES[args.table])
-        specs = [_spec(run, case.name, case.model, case.maturity,
+        specs = [_spec(args, {}, case.name, case.model, case.maturity,
                        [_varswap_config(kind, n) for kind in _VARSWAP_MODES],
                        strike=None, n_periods=n)
                  for n in _VARSWAP_PERIODS]
     else:
         case = get_case("IV")
-        specs = [_spec(run, f"IV[xi={xi:g},kappa={kappa:g},X={strike:g}]",
+        specs = [_spec(args, {}, f"IV[xi={xi:g},kappa={kappa:g},X={strike:g}]",
                        replace(case.model, xi=xi, kappa=kappa), case.maturity, _GRID_CONFIGS,
                        strike=strike, n_periods=None)
                  for xi in _GRID_XI for kappa in _GRID_KAPPA for strike in _GRID_STRIKES]
@@ -274,8 +252,9 @@ def _cmd_bench(args) -> int:
 
 
 def _add_case_args(p: argparse.ArgumentParser):
-    p.add_argument("--case", choices=sorted(CASE_PRESETS), help="named parameter preset")
-    p.add_argument("--params", help="parameter file (flat key = value)")
+    case = p.add_mutually_exclusive_group()
+    case.add_argument("--case", choices=sorted(CASE_PRESETS), help="named parameter preset")
+    case.add_argument("--params", help="parameter file (flat key = value)")
 
 
 def _add_run_args(p: argparse.ArgumentParser):
@@ -302,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price", help="Monte Carlo call pricing")
     _add_case_args(p)
-    p.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS),
+    p.add_argument("--scheme", choices=sorted(SCHEME_FLAGS),
                    help="simulation scheme (or run.scheme in --params)")
     p.add_argument("--K", dest="trunc_k", type=int, default=0,
                    help="series truncation level (ge / pois-ge)")
@@ -313,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("varswap", help="variance-swap fair strike")
     _add_case_args(p)
-    p.add_argument("--scheme", choices=("qem", "pois-td"), required=True)
+    p.add_argument("--scheme", required=True,
+                   choices=[flag for flag, kind in SCHEME_FLAGS.items() if kind in _VARSWAP_MODES])
     p.add_argument("--periods", type=int, required=True, help="monitoring periods N")
     _add_run_args(p)
     p.set_defaults(func=_cmd_varswap)

@@ -14,7 +14,7 @@ import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,27 +23,15 @@ from .errors import ConfigurationError
 from .model import ModelParams
 from .rng import RngStream
 from .schemes import (
-    TIME_DISCRETIZATION_KINDS,
+    SERIES_KINDS,
     SchemeConfig,
+    check_varswap_config,
     price_european_cmc,
     varswap_fair_strike_mc,
 )
 
 PRODUCTS = ("european_call", "variance_swap")
 BENCHMARKS = ("fourier", "varswap_closed_form", "none")
-
-#: Display labels of the scheme kinds.
-SCHEME_LABELS = {
-    "ge": "GE",
-    "pois_ge": "POIS-GE",
-    "ig": "IG",
-    "qem": "QEM",
-    "pois_td": "POIS-TD",
-}
-_LABEL_KINDS = {v: k for k, v in SCHEME_LABELS.items()}
-
-#: Scheme kinds whose truncation level is meaningful (rendered in the K column).
-SERIES_KINDS = ("ge", "pois_ge")
 
 CSV_COLUMNS = (
     "case", "scheme", "N", "K", "paths", "reps",
@@ -92,12 +80,7 @@ class ExperimentSpec:
             if self.benchmark == "fourier":
                 raise ConfigurationError("Fourier benchmark does not price variance swaps")
             for cfg in self.configs:
-                if cfg.kind not in TIME_DISCRETIZATION_KINDS:
-                    raise ConfigurationError(
-                        f"variance swaps require a time-discretization scheme, got {cfg.kind!r}"
-                    )
-                if cfg.n_steps != self.n_periods:
-                    raise ConfigurationError("config n_steps must equal n_periods")
+                check_varswap_config(cfg, self.n_periods)
 
 
 @dataclass
@@ -172,7 +155,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         rows.append(
             ResultRow(
                 case=spec.case_label,
-                scheme=SCHEME_LABELS[cfg.kind],
+                scheme=cfg.label,
                 n_steps=cfg.n_steps,
                 trunc_k=cfg.trunc_k if cfg.kind in SERIES_KINDS else None,
                 n_paths=spec.n_paths,
@@ -192,36 +175,32 @@ def _fmt_full(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def emit_table(result: ExperimentResult, format: str = "csv") -> str:
-    """Render an experiment result as CSV (lossless) or Markdown (display)."""
-    if not result.rows:
+def emit_table(results: Sequence[ExperimentResult], format: str = "csv") -> str:
+    """Render results as CSV (lossless, one header over all rows) or Markdown (one table each)."""
+    if not results or not all(res.rows for res in results):
         raise ConfigurationError("cannot render an empty result")
-    if format == "csv":
-        return emit_rows_csv(result.rows)
     if format in ("markdown", "md"):
-        return _emit_markdown(result)
-    raise ConfigurationError(f"unknown table format {format!r}")
-
-
-def emit_rows_csv(rows: list[ResultRow]) -> str:
-    """Render result rows (possibly from several experiments) as CSV."""
+        return "\n".join(_emit_markdown(res) for res in results)
+    if format != "csv":
+        raise ConfigurationError(f"unknown table format {format!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row.case,
-            row.scheme,
-            row.n_steps,
-            "" if row.trunc_k is None else row.trunc_k,
-            row.n_paths,
-            row.n_reps,
-            _fmt_full(row.estimate),
-            _fmt_full(row.benchmark),
-            _fmt_full(row.bias),
-            _fmt_full(row.se),
-            _fmt_full(row.wall_seconds),
-        ])
+    for res in results:
+        for row in res.rows:
+            writer.writerow([
+                row.case,
+                row.scheme,
+                row.n_steps,
+                "" if row.trunc_k is None else row.trunc_k,
+                row.n_paths,
+                row.n_reps,
+                _fmt_full(row.estimate),
+                _fmt_full(row.benchmark),
+                _fmt_full(row.bias),
+                _fmt_full(row.se),
+                _fmt_full(row.wall_seconds),
+            ])
     return buf.getvalue()
 
 

@@ -79,8 +79,8 @@ class ModelParams:
 def phi(kappa_arg: float, t: float, xi: float):
     """Variance-transition scale factor (2*kappa_arg/xi^2) / sinh(kappa_arg*t/2).
 
-    ``kappa_arg`` may be an array (used with shifted rates in the Laplace
-    transforms); ``t`` and ``xi`` are positive scalars.
+    ``t`` and ``xi`` are positive scalars.  The Laplace transforms take shifted
+    rates through :func:`_log_phi` and :func:`_coth_phi`, which do not overflow.
     """
     kappa_arg = np.asarray(kappa_arg, dtype=float)
     if t <= 0 or xi <= 0 or (kappa_arg <= 0).any():
@@ -171,9 +171,6 @@ class SeriesCoeffs:
     kappa: float
     xi: float
     h: float
-    a: float
-    c1: float
-    c2: float
     m_x: float
     v_x: float
     m_z: float
@@ -241,8 +238,6 @@ def series_coeffs(model: ModelParams, h: float) -> SeriesCoeffs:
         v_x = _poly_even(_VX_SERIES, a)
         m_z = _poly_even(_MZ_SERIES, a)
         v_z = _poly_even(_VZ_SERIES, a)
-        c1 = 1.0 / np.tanh(a)
-        c2 = 1.0 / np.sinh(a) ** 2
     else:
         c1 = 1.0 / np.tanh(a)
         c2 = 1.0 / np.sinh(a) ** 2
@@ -250,7 +245,18 @@ def series_coeffs(model: ModelParams, h: float) -> SeriesCoeffs:
         v_x = (c1 + a * c2 - 2.0 * a * a * c1 * c2) / (8.0 * a**3)
         m_z = (a * c1 - 1.0) / (4.0 * a * a)
         v_z = (a * c1 + a * a * c2 - 2.0) / (16.0 * a**4)
-    return SeriesCoeffs(model.kappa, model.xi, h, a, c1, c2, m_x, v_x, m_z, v_z)
+    return SeriesCoeffs(model.kappa, model.xi, h, m_x, v_x, m_z, v_z)
+
+
+def check_factors(models: list[ModelParams]) -> ModelParams:
+    """First of the multifactor ``models``, which must be nonempty and share (s0, r, q)."""
+    if not models:
+        raise ParameterError("at least one factor is required")
+    head = models[0]
+    for m in models[1:]:
+        if (m.s0, m.r, m.q) != (head.s0, head.r, head.q):
+            raise ParameterError("factors must share s0, r, and q")
+    return head
 
 
 def _check_endpoints(*vs) -> None:

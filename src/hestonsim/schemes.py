@@ -45,6 +45,7 @@ from .errors import ConfigurationError, DomainError, ParameterError
 from .model import (
     ModelParams,
     SeriesCoeffs,
+    check_factors,
     iv_moments_bessel,
     iv_moments_pois,
     iv_moments_truncated,
@@ -55,7 +56,11 @@ from .model import (
 from .rng import RngStream
 
 SCHEME_KINDS = ("ge", "pois_ge", "ig", "qem", "pois_td")
+#: Kinds whose truncation level ``trunc_k`` is meaningful.
+SERIES_KINDS = ("ge", "pois_ge")
 TIME_DISCRETIZATION_KINDS = ("qem", "pois_td")
+#: Command-line spelling of each kind: ``pois-ge`` selects ``pois_ge``.
+SCHEME_FLAGS = {kind.replace("_", "-"): kind for kind in SCHEME_KINDS}
 MARTINGALE_MODES = ("none", "price", "return_variance")
 
 #: Paths simulated per random substream; fixed so that estimates are
@@ -81,7 +86,7 @@ class SchemeConfig:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
         if self.trunc_k < 0:
             raise ConfigurationError("trunc_k must be >= 0")
-        if self.trunc_k and self.kind not in ("ge", "pois_ge"):
+        if self.trunc_k and self.kind not in SERIES_KINDS:
             raise ConfigurationError(f"trunc_k applies only to series schemes, not {self.kind!r}")
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be >= 1")
@@ -91,6 +96,21 @@ class SchemeConfig:
             raise ConfigurationError(
                 "martingale corrections apply only to time-discretization schemes"
             )
+
+    @property
+    def label(self) -> str:
+        """Table and CSV label of the kind: ``pois_ge`` is ``POIS-GE``."""
+        return self.kind.upper().replace("_", "-")
+
+
+def check_varswap_config(cfg: SchemeConfig, n_periods: int) -> None:
+    """Variance swaps are monitored on the simulation grid of a time-discretization scheme."""
+    if cfg.kind not in TIME_DISCRETIZATION_KINDS:
+        raise ConfigurationError(
+            f"variance swaps require a time-discretization scheme, got {cfg.kind!r}"
+        )
+    if cfg.n_steps != n_periods:
+        raise ConfigurationError("monitoring periods must match the step count")
 
 
 @dataclass(frozen=True)
@@ -414,10 +434,7 @@ def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: Sc
     Poisson-conditioned scheme adds its return-variance correction to the
     squared return.
     """
-    if cfg.kind not in TIME_DISCRETIZATION_KINDS:
-        raise ConfigurationError("variance swaps require a time-discretization scheme")
-    if cfg.n_steps != n_periods:
-        raise ConfigurationError("monitoring periods must match the step count")
+    check_varswap_config(cfg, n_periods)
     plan = step_plan(model, T / n_periods, cfg)
 
     def batch(nb, sub):
@@ -442,12 +459,7 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
 
     Returns ``(log_return, cond_forward, total_sigma)`` arrays.
     """
-    if not models:
-        raise ParameterError("at least one factor is required")
-    head = models[0]
-    for m in models[1:]:
-        if (m.s0, m.r, m.q) != (head.s0, head.r, head.q):
-            raise ConfigurationError("factors must share s0, r, and q")
+    head = check_factors(models)
     cfg = SchemeConfig("pois_ge", trunc_k=trunc_k)
 
     if len(models) == 1:

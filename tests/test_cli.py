@@ -53,6 +53,15 @@ def test_exact_requires_case_or_params(capsys):
     assert "error:" in err
 
 
+def test_case_and_params_together_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "case3.cfg"
+    cfg.write_text(CASE_III_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--case", "I", "--params", str(cfg)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--case", "I", "--scheme", "pois-ge", "--bogus"])
@@ -96,6 +105,27 @@ def test_price_config_file_matches_flags(tmp_path, capsys):
     row_flags = parse_table_csv(out_flags)[0]
     assert row_cfg.estimate == row_flags.estimate
     assert row_cfg.se == row_flags.se
+
+
+def test_strike_flag_overrides_params_run_scheme(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CASE_III_CONFIG + "run.scheme = qem\n")
+    code, out, _ = _run(capsys, "price", "--params", str(cfg), "--strike", "80",
+                        "--paths", "200", "--reps", "1")
+    assert code == 0
+    assert parse_table_csv(out)[0].benchmark == pytest.approx(22.95428383, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", "--scheme", "ig"),
+    ("varswap", "--scheme", "qem", "--periods", "2"),
+], ids=["price", "varswap"])
+def test_params_run_keys_override_flags(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CASE_III_CONFIG + "run.paths = 300\n")
+    code, out, _ = _run(capsys, *argv, "--params", str(cfg), "--paths", "500", "--reps", "1")
+    assert code == 0
+    assert parse_table_csv(out)[0].n_paths == 300
 
 
 def test_price_grid_config_emits_cross_product(tmp_path, capsys):
@@ -184,12 +214,12 @@ def test_missing_config_file_is_runtime_error(capsys):
      ("product.maturity = one", "product.maturity"),
      ("run.scheme = pois-ge\nproduct.strike = 1O0", "product.strike"),
      ("run.scheme = pois-ge\nrun.paths = 1e5", "run.paths"),
-     ("grid.xi = 0.5, x", "grid.xi")],
-    ids=["model", "maturity", "strike", "run-int", "grid"],
+     ("grid.xi = 0.5, x", "grid.xi"),
+     ("grid.kappa = ,", "grid.kappa")],
+    ids=["model", "maturity", "strike", "run-int", "grid", "grid-empty"],
 )
 def test_malformed_config_value_is_runtime_error(tmp_path, capsys, extra, key):
-    # A later line overrides an earlier one; run.* and grid.* keys switch to
-    # the config-driven experiment path.
+    # A later line overrides an earlier one.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CASE_III_CONFIG + extra + "\n")
     code, _, err = _run(capsys, "price", "--params", str(cfg), "--scheme", "pois-ge",

@@ -136,7 +136,7 @@ def test_csv_round_trip_lossless():
     spec = _call_spec(configs=(SchemeConfig("pois_ge", trunc_k=2),
                                SchemeConfig("qem", n_steps=4, martingale_mode="price")))
     res = run_experiment(spec)
-    text = emit_table(res, "csv")
+    text = emit_table([res], "csv")
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
     back = parse_table_csv(text)
     assert len(back) == 2
@@ -153,7 +153,7 @@ def test_csv_round_trip_lossless():
 
 def test_markdown_rendering():
     res = run_experiment(_varswap_spec())
-    text = emit_table(res, "markdown")
+    text = emit_table([res], "markdown")
     assert "| Scheme | N | K | Estimate | Bias | SE | Time (sec) |" in text
     assert "POIS-TD" in text
     assert "(x 1e-2)" in text
@@ -163,7 +163,7 @@ def test_markdown_rendering():
 
 def test_markdown_call_table_not_scaled():
     res = run_experiment(_call_spec(n_paths=200, n_reps=2))
-    text = emit_table(res, "md")
+    text = emit_table([res], "md")
     assert "(x 1e-2)" not in text
     assert f"| {res.rows[0].estimate:.3f} " in text
 
@@ -171,6 +171,18 @@ def test_markdown_call_table_not_scaled():
 def test_emit_table_rejects_unknown_format():
     res = run_experiment(_call_spec(n_paths=50, n_reps=1))
     with pytest.raises(ConfigurationError):
-        emit_table(res, "html")
+        emit_table([res], "html")
 
 
+
+
+def test_emit_table_several_experiments():
+    results = [run_experiment(_call_spec(n_paths=50, n_reps=1)),
+               run_experiment(_varswap_spec(n_paths=50, n_reps=1))]
+    text = emit_table(results, "csv")
+    assert text.splitlines().count(",".join(CSV_COLUMNS)) == 1
+    assert [r.scheme for r in parse_table_csv(text)] == ["POIS-GE", "POIS-TD"]
+    md = emit_table(results, "md")
+    assert md.count("| Scheme | N | K |") == 2 and "(x 1e-2)" in md
+    with pytest.raises(ConfigurationError):
+        emit_table([], "csv")

@@ -1,9 +1,11 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from hestonsim.errors import DomainError, ParameterError
+from hestonsim.errors import DomainError, NumericalError, ParameterError
 from hestonsim.model import (
     ModelParams,
     avg_variance_moments,
@@ -173,6 +175,15 @@ def test_iv_moments_truncated_tail_vanishes():
     trunc = iv_moments_truncated(100_000, 0.019, 0.019, 1, m, 1.0)
     assert trunc.mean < 1e-4 * full.mean
     assert trunc.mean >= 0 and trunc.variance >= 0
+
+
+def test_iv_moments_truncated_rejects_negative_remainder():
+    # With the endpoint mean factor zeroed, the four removed terms exceed the
+    # full mean by far more than rounding, which must not be clamped away.
+    m = CASE_PRESETS["III"].model
+    coeffs = dataclasses.replace(series_coeffs(m, 1.0), m_x=0.0)
+    with pytest.raises(NumericalError, match="beyond rounding tolerance"):
+        iv_moments_truncated(4, 1.0, 1.0, 0, m, 1.0, coeffs)
 
 
 def test_bessel_pois_mixture_mean_identity():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hestonsim.analytic import bs_call_undiscounted, price_european_exact_multifactor
-from hestonsim.errors import ConfigurationError, ParameterError
+from hestonsim.errors import ParameterError
 from hestonsim.model import ModelParams
 from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
@@ -68,7 +68,7 @@ def test_two_factor_asymmetric_price_matches_fourier():
 
 def test_factors_must_share_carry():
     m = CASE_PRESETS["I"].model
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError):
         simulate_multifactor_terminal([m, replace(m, r=0.05)], 1.0, 1, 10, RngStream(1))
 
 
