@@ -38,7 +38,7 @@ class QuadratureSpec:
     limit: int = 10_000
 
     def __post_init__(self):
-        if self.epsabs <= 0 or self.epsrel <= 0 or self.limit < 10:
+        if not (self.epsabs > 0 and self.epsrel > 0) or self.limit < 10:
             raise ParameterError("quadrature tolerances must be positive, limit >= 10")
 
 
@@ -73,7 +73,7 @@ def heston_charfn_multifactor(u, models: list[ModelParams], T: float):
     The factors contribute multiplicatively; all must share (s0, r, q).
     """
     head = check_factors(models)
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("T must be positive")
     u = np.asarray(u, dtype=complex)
     log_cf = 1j * u * (head.r - head.q) * T
@@ -98,7 +98,7 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
     C / (S e^{-qT}) = (1 - b) / 2 + (1 / pi) int_0^inf Re[e^{-iuk} (phi(u - i) / phi(-i)
     - b phi(u)) / (iu)] du, with k = ln(K/S) and b = K e^{-rT} / (S e^{-qT}).
     """
-    if T <= 0 or strike <= 0:
+    if not (T > 0 and strike > 0):
         raise ParameterError("T and strike must be positive")
     quad = quadrature if quadrature is not None else QuadratureSpec()
     fwd_cf = heston_charfn_multifactor(-1j, models, T)
@@ -139,12 +139,13 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
 
 def bs_call_undiscounted(forward, sigma, T: float, strike):
     """Undiscounted Black call price on the forward; sigma = 0 gives intrinsic value."""
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("T must be positive")
     forward = np.asarray(forward, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     strike = np.asarray(strike, dtype=float)
-    if (forward <= 0).any() or (strike <= 0).any() or (sigma < 0).any():
+    # Written so that NaN fails it.
+    if not ((forward > 0).all() and (strike > 0).all() and (sigma >= 0).all()):
         raise ParameterError("forward and strike must be positive, sigma nonnegative")
     vol = sigma * np.sqrt(T)
     safe = np.where(vol > 0, vol, 1.0)
@@ -160,7 +161,7 @@ def bs_call_undiscounted(forward, sigma, T: float, strike):
 
 def varswap_strike_continuous(model: ModelParams, T: float) -> float:
     """Fair strike of the continuously monitored variance swap."""
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("T must be positive")
     kt = model.kappa * T
     return model.theta + (model.v0 - model.theta) * (1.0 - np.exp(-kt)) / kt
@@ -172,7 +173,7 @@ def varswap_strike_discrete(model: ModelParams, T: float, h: float) -> float:
     The continuous strike plus a closed-form adjustment in the monitoring
     step; the adjustment vanishes as h decreases to zero.
     """
-    if T <= 0 or h <= 0:
+    if not (T > 0 and h > 0):
         raise ParameterError("T and h must be positive")
     n = T / h
     if abs(n - round(n)) > 1e-9 * max(n, 1.0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .bessel import log_bessel_iv_scaled
+from .bessel import _check_args, log_bessel_iv_scaled
 from .errors import NumericalError, ParameterError
 from .model import ModelParams, phi
 from .rng import RngStream
@@ -99,11 +99,8 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
     outward from the mode by the two-term ratio recursion until the uniform
     draw is covered.  BES(nu, 0) is a point mass at 0.
     """
-    if not np.isfinite(nu) or nu <= -1.0:
-        raise ParameterError(f"Bessel order must satisfy nu > -1, got {nu}")
     z = np.asarray(z, dtype=float)
-    if z.size and not (z.min() >= 0.0 and z.max() < np.inf):
-        raise ParameterError("Bessel argument must be finite and positive or zero")
+    _check_args(nu, z)
     scalar = z.ndim == 0 and size is None
     if size is not None:
         z = np.broadcast_to(z, (size,) if np.isscalar(size) else size).astype(float)

@@ -25,6 +25,7 @@ from .rng import RngStream
 from .schemes import (
     SERIES_KINDS,
     SchemeConfig,
+    _check_count,
     check_varswap_config,
     price_european_cmc,
     varswap_fair_strike_mc,
@@ -61,16 +62,16 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown product {self.product!r}")
         if self.benchmark not in BENCHMARKS:
             raise ConfigurationError(f"unknown benchmark source {self.benchmark!r}")
-        if self.n_paths < 1 or self.n_reps < 1:
-            raise ConfigurationError("n_paths and n_reps must be >= 1")
-        if self.maturity <= 0:
+        for count in (self.n_paths, self.n_reps):
+            _check_count(ConfigurationError, "n_paths and n_reps", count, 1)
+        # Written so that NaN fails them.
+        if not self.maturity > 0:
             raise ConfigurationError("maturity must be positive")
         if not self.configs:
             raise ConfigurationError("at least one scheme config is required")
-        if self.n_jobs < 1:
-            raise ConfigurationError("n_jobs must be >= 1")
+        _check_count(ConfigurationError, "n_jobs", self.n_jobs, 1)
         if self.product == "european_call":
-            if self.strike is None or self.strike <= 0:
+            if self.strike is None or not self.strike > 0:
                 raise ConfigurationError("european_call requires a positive strike")
             if self.benchmark == "varswap_closed_form":
                 raise ConfigurationError("variance-swap benchmark does not price calls")

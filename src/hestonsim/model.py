@@ -76,20 +76,20 @@ class ModelParams:
         return 0.5 * self.delta - 1.0
 
 
-def phi(kappa_arg: float, t: float, xi: float):
+def phi(kappa_arg: float, t: float, xi: float) -> float:
     """Variance-transition scale factor (2*kappa_arg/xi^2) / sinh(kappa_arg*t/2).
 
-    ``t`` and ``xi`` are positive scalars.  The Laplace transforms take shifted
-    rates through :func:`_log_phi` and :func:`_coth_phi`, which do not overflow.
+    All three arguments are positive scalars.  The Laplace transforms take
+    shifted rates through :func:`_log_phi` and :func:`_coth_phi`, which do not
+    overflow.
     """
-    kappa_arg = np.asarray(kappa_arg, dtype=float)
-    if t <= 0 or xi <= 0 or (kappa_arg <= 0).any():
+    # Written so that NaN fails it.
+    if not (kappa_arg > 0 and t > 0 and xi > 0):
         raise ParameterError("phi requires positive kappa_arg, t, and xi")
     x = 0.5 * kappa_arg * t
-    if (x > _MAX_HYP_ARG).any():
-        raise DomainError(f"kappa*t/2 = {np.max(x)} overflows sinh")
-    out = (2.0 * kappa_arg / (xi * xi)) / np.sinh(x)
-    return out if out.ndim else float(out)
+    if x > _MAX_HYP_ARG:
+        raise DomainError(f"kappa*t/2 = {x} overflows sinh")
+    return float((2.0 * kappa_arg / (xi * xi)) / np.sinh(x))
 
 
 def _log_phi(kappa_arg, t: float, xi: float):
@@ -127,7 +127,7 @@ def avg_variance_moments(model: ModelParams, t: float):
 
     The mean is also the fair strike of a continuously monitored variance swap.
     """
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("t must be positive")
     kappa, theta, v0, xi = model.kappa, model.theta, model.v0, model.xi
     kt = kappa * t
@@ -228,7 +228,7 @@ class SeriesCoeffs:
 
 def series_coeffs(model: ModelParams, h: float) -> SeriesCoeffs:
     """Evaluate the coefficient bundle for step size h."""
-    if h <= 0:
+    if not h > 0:
         raise ParameterError("h must be positive")
     a = 0.5 * model.kappa * h
     if a > _MAX_HYP_ARG:
@@ -353,8 +353,22 @@ def iv_moments_truncated(
     return IvMoments(np.maximum(mean, 0.0), np.maximum(variance, 0.0))
 
 
-def _kappa_u(u, model: ModelParams):
-    return np.sqrt(model.kappa**2 + 2.0 * model.xi**2 * np.asarray(u, dtype=float))
+def _laplace_terms(u, v0, v_t, model: ModelParams, h: float):
+    """Terms both conditional Laplace transforms share.
+
+    Returns ``(log_x, log_phi_u, log_phi_k)``: the log endpoint factor, and
+    ln phi at kappa_u = sqrt(kappa^2 + 2 xi^2 u) and at kappa.
+    """
+    u = np.asarray(u, dtype=float)
+    if (u < 0).any():
+        raise ParameterError("Laplace argument must be nonnegative")
+    ku = np.sqrt(model.kappa**2 + 2.0 * model.xi**2 * u)
+    if (0.5 * ku * h > _MAX_HYP_ARG).any():
+        raise DomainError("kappa_u * h/2 overflows the hyperbolic functions")
+    log_x = -0.5 * (np.asarray(v0, float) + np.asarray(v_t, float)) * (
+        _coth_phi(ku, h, model.xi) - _coth_phi(model.kappa, h, model.xi)
+    )
+    return log_x, _log_phi(ku, h, model.xi), _log_phi(model.kappa, h, model.xi)
 
 
 def cond_laplace_pois(u, v0, v_t, mu, model: ModelParams, h: float):
@@ -363,20 +377,9 @@ def cond_laplace_pois(u, v0, v_t, mu, model: ModelParams, h: float):
     Bessel-free closed form; equals 1 at u = 0 and is used as a test oracle,
     never inverted.
     """
-    u = np.asarray(u, dtype=float)
-    if (u < 0).any():
-        raise ParameterError("Laplace argument must be nonnegative")
-    ku = _kappa_u(u, model)
-    if (0.5 * ku * h > _MAX_HYP_ARG).any():
-        raise DomainError("kappa_u * h/2 overflows the hyperbolic functions")
-    v0 = np.asarray(v0, float)
-    v_t = np.asarray(v_t, float)
+    log_x, log_phi_u, log_phi_k = _laplace_terms(u, v0, v_t, model, h)
     shape = 0.5 * model.delta + 2.0 * np.asarray(mu, float)
-    log_x = -0.5 * (v0 + v_t) * (
-        _coth_phi(ku, h, model.xi) - _coth_phi(model.kappa, h, model.xi)
-    )
-    log_ratio = _log_phi(ku, h, model.xi) - _log_phi(model.kappa, h, model.xi)
-    out = np.exp(log_x + shape * log_ratio)
+    out = np.exp(log_x + shape * (log_phi_u - log_phi_k))
     return out if out.ndim else float(out)
 
 
@@ -386,22 +389,10 @@ def cond_laplace_bk(u, v0, v_t, model: ModelParams, h: float):
     The Bessel-ratio form; evaluated through the log-scaled Bessel function
     so that large arguments do not overflow.
     """
-    u = np.asarray(u, dtype=float)
-    if (u < 0).any():
-        raise ParameterError("Laplace argument must be nonnegative")
-    ku = _kappa_u(u, model)
-    if (0.5 * ku * h > _MAX_HYP_ARG).any():
-        raise DomainError("kappa_u * h/2 overflows the hyperbolic functions")
-    v0 = np.asarray(v0, float)
-    v_t = np.asarray(v_t, float)
-    sq = np.sqrt(v0 * v_t)
-    log_phi_k = _log_phi(model.kappa, h, model.xi)
-    log_phi_u = _log_phi(ku, h, model.xi)
+    log_x, log_phi_u, log_phi_k = _laplace_terms(u, v0, v_t, model, h)
+    sq = np.sqrt(np.asarray(v0, float) * np.asarray(v_t, float))
     z = sq * np.exp(log_phi_k)
     z_u = sq * np.exp(log_phi_u)
-    log_x = -0.5 * (v0 + v_t) * (
-        _coth_phi(ku, h, model.xi) - _coth_phi(model.kappa, h, model.xi)
-    )
     log_bessel = (log_bessel_iv_scaled(model.nu, z_u) + z_u) - (
         log_bessel_iv_scaled(model.nu, z) + z
     )

@@ -29,6 +29,7 @@ scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ from .distributions import (
     sample_std_gamma,
     sample_terminal_variance,
 )
-from .errors import ConfigurationError, DomainError, ParameterError
+from .errors import ConfigurationError, DomainError, HestonSimError, ParameterError
 from .model import (
     ModelParams,
     SeriesCoeffs,
@@ -72,6 +73,14 @@ BATCH_SIZE = 10_000
 _IG_LAMBDA_MAX = 1e300
 
 
+def _check_count(error: type[HestonSimError], name: str, value, low: int) -> None:
+    """Raise ``error`` unless ``value`` is an integer (numpy integers pass) >= ``low``."""
+    if not isinstance(value, Integral):
+        raise error(f"{name} must be integral, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Scheme selector with truncation level, step count, and correction mode."""
@@ -84,12 +93,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
-        if self.trunc_k < 0:
-            raise ConfigurationError("trunc_k must be >= 0")
+        _check_count(ConfigurationError, "trunc_k", self.trunc_k, 0)
         if self.trunc_k and self.kind not in SERIES_KINDS:
             raise ConfigurationError(f"trunc_k applies only to series schemes, not {self.kind!r}")
-        if self.n_steps < 1:
-            raise ConfigurationError("n_steps must be >= 1")
+        _check_count(ConfigurationError, "n_steps", self.n_steps, 1)
         if self.martingale_mode not in MARTINGALE_MODES:
             raise ConfigurationError(f"unknown martingale mode {self.martingale_mode!r}")
         if self.martingale_mode != "none" and self.kind not in TIME_DISCRETIZATION_KINDS:
@@ -338,32 +345,36 @@ def _steps(plan: StepPlan, n_paths: int, rng: RngStream):
         v = res.v_next
 
 
+def _variance_drift(v0, v_next, iv: np.ndarray, h: float, model: ModelParams):
+    """(rho/xi)(V_h - V_0 + kappa(IV - theta h)): the log-spot move the variance path drives."""
+    if (iv < 0).any():
+        raise ParameterError("integrated variance must be nonnegative")
+    return (model.rho / model.xi) * (
+        np.asarray(v_next, float) - np.asarray(v0, float) + model.kappa * (iv - model.theta * h)
+    )
+
+
 def sample_log_return(v0, v_next, iv, h: float, model: ModelParams, z,
                       mart_price=0.0):
     """Log return over one interval conditional on (v0, v_next, iv)."""
     iv = np.asarray(iv, dtype=float)
-    if (iv < 0).any():
-        raise ParameterError("integrated variance must be nonnegative")
-    rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
     drift = (model.r - model.q) * h - 0.5 * iv
-    drift += (rho / xi) * (np.asarray(v_next, float) - np.asarray(v0, float) + kappa * (iv - theta * h))
-    return drift + mart_price + np.sqrt((1.0 - rho * rho) * iv) * np.asarray(z, float)
+    drift += _variance_drift(v0, v_next, iv, h, model)
+    return drift + mart_price + np.sqrt((1.0 - model.rho * model.rho) * iv) * np.asarray(z, float)
 
 
 def cond_forward(s, v0, v_next, iv, h: float, model: ModelParams, mart_price=0.0):
     """Forward price conditional on the variance endpoints and integrated variance."""
     iv = np.asarray(iv, dtype=float)
-    if (iv < 0).any():
-        raise ParameterError("integrated variance must be nonnegative")
-    rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
-    expo = -0.5 * rho * rho * iv
-    expo += (rho / xi) * (np.asarray(v_next, float) - np.asarray(v0, float) + kappa * (iv - theta * h))
+    expo = -0.5 * model.rho * model.rho * iv
+    expo += _variance_drift(v0, v_next, iv, h, model)
     return np.asarray(s, float) * np.exp((model.r - model.q) * h) * np.exp(expo + mart_price)
 
 
 def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,
                       rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate (V_T, total integrated variance, total price correction)."""
+    _check_count(ParameterError, "n_paths", n_paths, 0)
     iv_tot = np.zeros(n_paths)
     mart_tot = np.zeros(n_paths)
     for _, res in _steps(step_plan(model, T / cfg.n_steps, cfg), n_paths, rng):
@@ -380,8 +391,7 @@ def _batch_mean(n_paths: int, rng: RngStream, batch) -> tuple[float, float]:
     running total, the squared deviations by the pairwise update of Chan,
     Golub & LeVeque, which does not cancel when the mean dwarfs the spread.
     """
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
+    _check_count(ParameterError, "n_paths", n_paths, 1)
     n, total, m2 = 0, 0.0, 0.0
     for b, start in enumerate(range(0, n_paths, BATCH_SIZE)):
         x = batch(min(BATCH_SIZE, n_paths - start), rng.substream(b))
@@ -454,33 +464,27 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
 
     All factors must share (s0, r, q).  Each factor is simulated with the
     Poisson-conditioned series kernel; draws are consumed from ``rng``
-    sequentially, factor by factor, so a single factor reproduces the
-    single-factor kernel bit for bit.
+    sequentially, factor by factor.  The log return adds its terms in the
+    order :func:`sample_log_return` does, so a single factor reproduces the
+    single-factor kernel bit for bit wherever ``1 - rho**2`` and
+    ``1 - rho * rho`` round alike (every preset).
 
     Returns ``(log_return, cond_forward, total_sigma)`` arrays.
     """
     head = check_factors(models)
     cfg = SchemeConfig("pois_ge", trunc_k=trunc_k)
-
-    if len(models) == 1:
-        # Delegate to the scalar pipeline so one factor is bit-identical to it.
-        m = head
-        res = step_pois_ge(np.full(n_paths, m.v0), step_plan(m, T, cfg), rng)
-        fwd = cond_forward(m.s0, m.v0, res.v_next, res.iv, T, m)
-        total_sigma = np.sqrt((1.0 - m.rho**2) * res.iv)
-        z = rng.gen.standard_normal(n_paths)
-        log_return = sample_log_return(m.v0, res.v_next, res.iv, T, m, z)
-        return log_return, fwd, total_sigma
-
-    expo = np.zeros(n_paths)
-    var_tot = np.zeros(n_paths)
+    # Running sums over the factors: IV, variance drift, residual variance and
+    # forward exponent; each starts at 0.0 and becomes an array on the first add.
+    iv_tot = drift_tot = var_tot = expo = 0.0
     for m in models:
-        res = step_pois_ge(np.full(n_paths, m.v0), step_plan(m, T, cfg), rng)
-        expo += (m.rho / m.xi) * (res.v_next - m.v0 + m.kappa * (res.iv - m.theta * T))
-        expo -= 0.5 * m.rho**2 * res.iv
-        var_tot += (1.0 - m.rho**2) * res.iv
+        v_end, iv, _ = simulate_terminal(m, T, cfg, n_paths, rng)
+        drift = _variance_drift(m.v0, v_end, iv, T, m)
+        iv_tot += iv
+        drift_tot += drift
+        var_tot += (1.0 - m.rho**2) * iv
+        expo += -0.5 * m.rho * m.rho * iv + drift
     total_sigma = np.sqrt(var_tot)
     fwd = head.s0 * np.exp((head.r - head.q) * T) * np.exp(expo)
     z = rng.gen.standard_normal(n_paths)
-    log_return = np.log(fwd / head.s0) - 0.5 * var_tot + total_sigma * z
+    log_return = (head.r - head.q) * T - 0.5 * iv_tot + drift_tot + total_sigma * z
     return log_return, fwd, total_sigma

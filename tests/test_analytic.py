@@ -15,8 +15,10 @@ from hestonsim.analytic import (
     varswap_strike_discrete,
 )
 from hestonsim.errors import NumericalError, ParameterError
-from hestonsim.model import ModelParams
+from hestonsim.model import ModelParams, avg_variance_moments, phi, series_coeffs
 from hestonsim.presets import CASE_PRESETS
+from hestonsim.rng import RngStream
+from hestonsim.schemes import SchemeConfig, price_european_cmc
 
 
 def test_charfn_normalization():
@@ -233,3 +235,33 @@ def test_multifactor_charfn_rejects_mismatched_carry():
     m = CASE_PRESETS["I"].model
     with pytest.raises(ParameterError):
         heston_charfn_multifactor(1.0, [m, replace(m, r=0.05)], 1.0)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: price_european_cmc(m, 1.0, _NAN, SchemeConfig("pois_ge"), 100, RngStream(1)),
+        lambda m: bs_call_undiscounted(100.0, _NAN, 1.0, 100.0),
+        lambda m: bs_call_undiscounted(_NAN, 0.2, 1.0, 100.0),
+        lambda m: bs_call_undiscounted(100.0, 0.2, _NAN, 100.0),
+        lambda m: series_coeffs(m, _NAN),
+        lambda m: avg_variance_moments(m, _NAN),
+        lambda m: phi(_NAN, 1.0, 1.0),
+        lambda m: phi(1.0, _NAN, 1.0),
+        lambda m: heston_charfn(0.5, m, _NAN),
+        lambda m: price_european_exact(m, _NAN, 100.0),
+        lambda m: price_european_exact(m, 1.0, _NAN),
+        lambda m: varswap_strike_continuous(m, _NAN),
+        lambda m: varswap_strike_discrete(m, _NAN, 0.25),
+        lambda m: QuadratureSpec(epsabs=_NAN),
+    ],
+    ids=["cmc-strike", "bs-sigma", "bs-forward", "bs-T", "series-h", "avg-moments-t",
+         "phi-kappa", "phi-t", "charfn-T", "exact-T", "exact-strike", "varswap-cont-T",
+         "varswap-disc-T", "quadrature-eps"],
+)
+def test_nan_inputs_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call(CASE_PRESETS["III"].model)

@@ -172,7 +172,7 @@ def test_bessel_rv_invalid_args():
     with pytest.raises(ParameterError):
         sample_bessel_rv(-1.5, 1.0, RngStream(1))
     for z in (np.array([1.0, np.nan]), np.array([1.0, np.inf])):
-        with pytest.raises(ParameterError, match="finite and positive"):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
             sample_bessel_rv(0.5, z, RngStream(1))
 
 

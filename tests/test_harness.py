@@ -64,6 +64,11 @@ def _varswap_spec(**overrides):
         dict(strike=None),
         dict(strike=-5.0),
         dict(benchmark="varswap_closed_form"),
+        dict(n_paths=100.5),
+        dict(n_reps=2.5),
+        dict(n_jobs=1.5),
+        dict(strike=float("nan")),
+        dict(maturity=float("nan")),
     ],
 )
 def test_spec_validation_calls(overrides):

@@ -10,6 +10,7 @@ from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
 from hestonsim.schemes import (
     SchemeConfig,
+    cond_forward,
     sample_log_return,
     simulate_multifactor_terminal,
     step_plan,
@@ -17,17 +18,20 @@ from hestonsim.schemes import (
 )
 
 
-def test_single_factor_matches_scalar_kernel_bitwise():
-    preset = CASE_PRESETS["III"]
+@pytest.mark.parametrize("trunc_k", [0, 2])
+@pytest.mark.parametrize("case", sorted(CASE_PRESETS))
+def test_single_factor_matches_scalar_kernel_bitwise(case, trunc_k):
+    preset = CASE_PRESETS[case]
     m, T = preset.model, preset.maturity
     n = 5000
-    lr, fwd, sigma = simulate_multifactor_terminal([m], T, 2, n, RngStream(50))
+    lr, fwd, sigma = simulate_multifactor_terminal([m], T, trunc_k, n, RngStream(50))
 
     rng = RngStream(50)
-    res = step_pois_ge(np.full(n, m.v0), step_plan(m, T, SchemeConfig("pois_ge", 2)), rng)
+    res = step_pois_ge(np.full(n, m.v0), step_plan(m, T, SchemeConfig("pois_ge", trunc_k)), rng)
     z = rng.gen.standard_normal(n)
     lr_ref = sample_log_return(m.v0, res.v_next, res.iv, T, m, z)
     np.testing.assert_array_equal(lr, lr_ref)
+    np.testing.assert_array_equal(fwd, cond_forward(m.s0, m.v0, res.v_next, res.iv, T, m))
     np.testing.assert_array_equal(sigma, np.sqrt((1.0 - m.rho**2) * res.iv))
 
 

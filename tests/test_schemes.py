@@ -31,6 +31,7 @@ from hestonsim.schemes import (
     price_european_cmc,
     reconstruct_spot,
     sample_log_return,
+    simulate_multifactor_terminal,
     simulate_terminal,
     step_ge,
     step_ig,
@@ -54,6 +55,9 @@ from hestonsim.schemes import (
         dict(kind="ge", martingale_mode="price"),
         dict(kind="ig", martingale_mode="return_variance"),
         dict(kind="qem", martingale_mode="bogus"),
+        dict(kind="qem", n_steps=2.5, martingale_mode="price"),
+        dict(kind="qem", n_steps="2"),
+        dict(kind="pois_ge", trunc_k=1.5),
     ],
 )
 def test_scheme_config_rejects_invalid(kwargs):
@@ -65,6 +69,7 @@ def test_scheme_config_accepts_valid():
     SchemeConfig("pois_ge", trunc_k=8, n_steps=1)
     SchemeConfig("qem", n_steps=4, martingale_mode="price")
     SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance")
+    SchemeConfig("ge", trunc_k=np.int64(2), n_steps=np.int32(1))
 
 
 @pytest.mark.parametrize("name", ["I", "III"])
@@ -312,6 +317,31 @@ def test_reconstruct_spot_zero_correlation_exact():
     est, se = reconstruct_spot(m, 2.0, cfg, 5000, RngStream(35))
     assert est == pytest.approx(100.0, rel=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "driver, n_paths",
+    [
+        ("price", 100.5),
+        ("price", "100"),
+        ("terminal", 100.5),
+        ("terminal", -1),
+        ("multifactor", 100.5),
+        ("multifactor", -1),
+    ],
+)
+def test_drivers_reject_invalid_path_counts(driver, n_paths):
+    preset = CASE_PRESETS["III"]
+    m, T, cfg = preset.model, preset.maturity, SchemeConfig("pois_ge")
+    run = {
+        "price": lambda n: price_european_cmc(m, T, preset.strike, cfg, n, RngStream(1)),
+        "terminal": lambda n: simulate_terminal(m, T, cfg, n, RngStream(1)),
+        "multifactor": lambda n: simulate_multifactor_terminal([m, m], T, 0, n, RngStream(1)),
+    }[driver]
+    with pytest.raises(ParameterError):
+        run(n_paths)
+    if driver != "price":
+        assert all(a.shape == (0,) for a in run(0))
 
 
 def test_varswap_requires_td_scheme():
