@@ -34,11 +34,6 @@ from .schemes import (
 PRODUCTS = ("european_call", "variance_swap")
 BENCHMARKS = ("fourier", "varswap_closed_form", "none")
 
-CSV_COLUMNS = (
-    "case", "scheme", "N", "K", "paths", "reps",
-    "estimate", "benchmark", "bias", "se", "wall_seconds",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -70,14 +65,13 @@ class ExperimentSpec:
         if not self.configs:
             raise ConfigurationError("at least one scheme config is required")
         _check_count(ConfigurationError, "n_jobs", self.n_jobs, 1)
+        _check_count(ConfigurationError, "seed", self.seed, 0)
         if self.product == "european_call":
             if self.strike is None or not self.strike > 0:
                 raise ConfigurationError("european_call requires a positive strike")
             if self.benchmark == "varswap_closed_form":
                 raise ConfigurationError("variance-swap benchmark does not price calls")
         else:
-            if self.n_periods is None or self.n_periods < 1:
-                raise ConfigurationError("variance_swap requires n_periods >= 1")
             if self.benchmark == "fourier":
                 raise ConfigurationError("Fourier benchmark does not price variance swaps")
             for cfg in self.configs:
@@ -100,6 +94,19 @@ class ResultRow:
     se: float
     wall_seconds: float
     rep_estimates: list[float] = field(default_factory=list, repr=False)
+
+
+#: The CSV row layout: (header, ``ResultRow`` attribute, cell type), in
+#: column order.  Per-repetition estimates are not serialized.
+_CSV_LAYOUT = (
+    ("case", "case", str), ("scheme", "scheme", str), ("N", "n_steps", int),
+    ("K", "trunc_k", int), ("paths", "n_paths", int), ("reps", "n_reps", int),
+    ("estimate", "estimate", float), ("benchmark", "benchmark", float),
+    ("bias", "bias", float), ("se", "se", float), ("wall_seconds", "wall_seconds", float),
+)
+CSV_COLUMNS = tuple(header for header, _, _ in _CSV_LAYOUT)
+#: Columns whose empty cell stands for ``None``.
+_OPTIONAL_COLUMNS = ("K", "benchmark", "bias")
 
 
 @dataclass
@@ -172,8 +179,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, rows=rows)
 
 
-def _fmt_full(value) -> str:
-    return "" if value is None else repr(float(value))
+def _cell(value, typ) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if typ is float else str(value)
 
 
 def emit_table(results: Sequence[ExperimentResult], format: str = "csv") -> str:
@@ -189,19 +198,7 @@ def emit_table(results: Sequence[ExperimentResult], format: str = "csv") -> str:
     writer.writerow(CSV_COLUMNS)
     for res in results:
         for row in res.rows:
-            writer.writerow([
-                row.case,
-                row.scheme,
-                row.n_steps,
-                "" if row.trunc_k is None else row.trunc_k,
-                row.n_paths,
-                row.n_reps,
-                _fmt_full(row.estimate),
-                _fmt_full(row.benchmark),
-                _fmt_full(row.bias),
-                _fmt_full(row.se),
-                _fmt_full(row.wall_seconds),
-            ])
+            writer.writerow([_cell(getattr(row, attr), typ) for _, attr, typ in _CSV_LAYOUT])
     return buf.getvalue()
 
 
@@ -210,25 +207,13 @@ def parse_table_csv(text: str) -> list[ResultRow]:
 
     Per-repetition estimates are not serialized and come back empty.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append(
-            ResultRow(
-                case=rec["case"],
-                scheme=rec["scheme"],
-                n_steps=int(rec["N"]),
-                trunc_k=None if rec["K"] == "" else int(rec["K"]),
-                n_paths=int(rec["paths"]),
-                n_reps=int(rec["reps"]),
-                estimate=float(rec["estimate"]),
-                benchmark=None if rec["benchmark"] == "" else float(rec["benchmark"]),
-                bias=None if rec["bias"] == "" else float(rec["bias"]),
-                se=float(rec["se"]),
-                wall_seconds=float(rec["wall_seconds"]),
-            )
-        )
-    return rows
+    return [
+        ResultRow(**{
+            attr: None if rec[header] == "" and header in _OPTIONAL_COLUMNS else typ(rec[header])
+            for header, attr, typ in _CSV_LAYOUT
+        })
+        for rec in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def _emit_markdown(result: ExperimentResult) -> str:

@@ -103,6 +103,8 @@ class SchemeConfig:
             raise ConfigurationError(
                 "martingale corrections apply only to time-discretization schemes"
             )
+        if self.kind == "qem" and self.martingale_mode == "return_variance":
+            raise ConfigurationError("qem has no return-variance correction")
 
     @property
     def label(self) -> str:
@@ -112,6 +114,7 @@ class SchemeConfig:
 
 def check_varswap_config(cfg: SchemeConfig, n_periods: int) -> None:
     """Variance swaps are monitored on the simulation grid of a time-discretization scheme."""
+    _check_count(ConfigurationError, "n_periods", n_periods, 1)
     if cfg.kind not in TIME_DISCRETIZATION_KINDS:
         raise ConfigurationError(
             f"variance swaps require a time-discretization scheme, got {cfg.kind!r}"
@@ -375,6 +378,8 @@ def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: 
                       rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate (V_T, total integrated variance, total price correction)."""
     _check_count(ParameterError, "n_paths", n_paths, 0)
+    if cfg.martingale_mode == "return_variance":
+        raise ConfigurationError("the return-variance correction applies only to variance swaps")
     iv_tot = np.zeros(n_paths)
     mart_tot = np.zeros(n_paths)
     for _, res in _steps(step_plan(model, T / cfg.n_steps, cfg), n_paths, rng):
@@ -415,7 +420,7 @@ def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeC
     def batch(nb, sub):
         v_end, iv, mart = simulate_terminal(model, T, cfg, nb, sub)
         fwd = cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
-        sigma = np.sqrt((1.0 - model.rho**2) * iv / T)
+        sigma = np.sqrt((1.0 - model.rho * model.rho) * iv / T)
         return bs_call_undiscounted(fwd, sigma, T, strike)
 
     mean, se = _batch_mean(n_paths, rng, batch)
@@ -466,8 +471,7 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
     Poisson-conditioned series kernel; draws are consumed from ``rng``
     sequentially, factor by factor.  The log return adds its terms in the
     order :func:`sample_log_return` does, so a single factor reproduces the
-    single-factor kernel bit for bit wherever ``1 - rho**2`` and
-    ``1 - rho * rho`` round alike (every preset).
+    single-factor kernel bit for bit.
 
     Returns ``(log_return, cond_forward, total_sigma)`` arrays.
     """
@@ -481,7 +485,7 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
         drift = _variance_drift(m.v0, v_end, iv, T, m)
         iv_tot += iv
         drift_tot += drift
-        var_tot += (1.0 - m.rho**2) * iv
+        var_tot += (1.0 - m.rho * m.rho) * iv
         expo += -0.5 * m.rho * m.rho * iv + drift
     total_sigma = np.sqrt(var_tot)
     fwd = head.s0 * np.exp((head.r - head.q) * T) * np.exp(expo)

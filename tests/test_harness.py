@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,9 @@ def _varswap_spec(**overrides):
         dict(n_jobs=1.5),
         dict(strike=float("nan")),
         dict(maturity=float("nan")),
+        dict(seed=1.7),
+        dict(seed="3"),
+        dict(seed=-1),
     ],
 )
 def test_spec_validation_calls(overrides):
@@ -83,6 +88,9 @@ def test_spec_validation_calls(overrides):
         dict(benchmark="fourier"),
         dict(configs=(SchemeConfig("pois_ge", n_steps=4),)),
         dict(configs=(SchemeConfig("qem", n_steps=2),)),
+        dict(n_periods="4"),
+        dict(n_periods=4.0),
+        dict(n_periods=0),
     ],
 )
 def test_spec_validation_varswaps(overrides):
@@ -138,22 +146,18 @@ def test_configs_use_distinct_substreams():
 
 
 def test_csv_round_trip_lossless():
-    spec = _call_spec(configs=(SchemeConfig("pois_ge", trunc_k=2),
+    call = _call_spec(configs=(SchemeConfig("pois_ge", trunc_k=2),
                                SchemeConfig("qem", n_steps=4, martingale_mode="price")))
-    res = run_experiment(spec)
-    text = emit_table([res], "csv")
+    results = [run_experiment(call), run_experiment(_varswap_spec(benchmark="none"))]
+    text = emit_table(results, "csv")
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
     back = parse_table_csv(text)
-    assert len(back) == 2
-    for orig, rec in zip(res.rows, back):
-        assert rec.case == orig.case and rec.scheme == orig.scheme
-        assert rec.estimate == orig.estimate
-        assert rec.benchmark == orig.benchmark
-        assert rec.bias == orig.bias
-        assert rec.se == orig.se
-        assert rec.wall_seconds == orig.wall_seconds
+    orig = [row for res in results for row in res.rows]
+    # Every field but the per-repetition estimates, which CSV does not carry.
+    assert back == [replace(row, rep_estimates=[]) for row in orig]
     # truncation level is only meaningful for the series schemes
-    assert back[0].trunc_k == 2 and back[1].trunc_k is None
+    assert [row.trunc_k for row in back] == [2, None, None]
+    assert back[2].benchmark is None and back[2].bias is None
 
 
 def test_markdown_rendering():

@@ -19,10 +19,17 @@ from hestonsim.schemes import (
 
 
 @pytest.mark.parametrize("trunc_k", [0, 2])
-@pytest.mark.parametrize("case", sorted(CASE_PRESETS))
-def test_single_factor_matches_scalar_kernel_bitwise(case, trunc_k):
+@pytest.mark.parametrize(
+    "case,rho",
+    [pytest.param(c, None, id=c) for c in sorted(CASE_PRESETS)]
+    # 1 - rho**2 and 1 - rho * rho round apart at this rho.
+    + [pytest.param("III", -0.840136, id="III-rho-0.840136")],
+)
+def test_single_factor_matches_scalar_kernel_bitwise(case, rho, trunc_k):
     preset = CASE_PRESETS[case]
     m, T = preset.model, preset.maturity
+    if rho is not None:
+        m = replace(m, rho=rho)
     n = 5000
     lr, fwd, sigma = simulate_multifactor_terminal([m], T, trunc_k, n, RngStream(50))
 
@@ -32,7 +39,7 @@ def test_single_factor_matches_scalar_kernel_bitwise(case, trunc_k):
     lr_ref = sample_log_return(m.v0, res.v_next, res.iv, T, m, z)
     np.testing.assert_array_equal(lr, lr_ref)
     np.testing.assert_array_equal(fwd, cond_forward(m.s0, m.v0, res.v_next, res.iv, T, m))
-    np.testing.assert_array_equal(sigma, np.sqrt((1.0 - m.rho**2) * res.iv))
+    np.testing.assert_array_equal(sigma, np.sqrt((1.0 - m.rho * m.rho) * res.iv))
 
 
 def test_zero_correlation_forward_is_exact():

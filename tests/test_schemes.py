@@ -58,6 +58,7 @@ from hestonsim.schemes import (
         dict(kind="qem", n_steps=2.5, martingale_mode="price"),
         dict(kind="qem", n_steps="2"),
         dict(kind="pois_ge", trunc_k=1.5),
+        dict(kind="qem", n_steps=4, martingale_mode="return_variance"),
     ],
 )
 def test_scheme_config_rejects_invalid(kwargs):
@@ -356,6 +357,29 @@ def test_varswap_step_count_must_match_periods():
     with pytest.raises(ConfigurationError):
         varswap_fair_strike_mc(preset.model, 1.0, 4,
                                SchemeConfig("qem", n_steps=2), 100, RngStream(1))
+
+
+@pytest.mark.parametrize("n_periods", [4.0, "4", 0])
+def test_varswap_periods_must_be_a_positive_integer(n_periods):
+    preset = CASE_PRESETS["III"]
+    with pytest.raises(ConfigurationError, match="n_periods"):
+        varswap_fair_strike_mc(preset.model, 1.0, n_periods,
+                               SchemeConfig("qem", n_steps=4), 100, RngStream(1))
+
+
+@pytest.mark.parametrize("entry", ["price", "spot", "terminal"])
+def test_return_variance_correction_is_varswap_only(entry):
+    # Call pricing and spot reconstruction have no squared return to correct.
+    preset = CASE_PRESETS["IV"]
+    m, T = preset.model, preset.maturity
+    cfg = SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance")
+    run = {
+        "price": lambda: price_european_cmc(m, T, preset.strike, cfg, 100, RngStream(1)),
+        "spot": lambda: reconstruct_spot(m, T, cfg, 100, RngStream(1)),
+        "terminal": lambda: simulate_terminal(m, T, cfg, 100, RngStream(1)),
+    }[entry]
+    with pytest.raises(ConfigurationError, match="variance swaps"):
+        run()
 
 
 def test_varswap_deterministic():
