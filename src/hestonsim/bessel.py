@@ -3,7 +3,7 @@
 Two evaluation branches are used:
 
 * an adaptively truncated power series, summed outward from its largest term
-  in log space so that neither large orders nor large arguments overflow, and
+  so that neither large orders nor large arguments overflow, and
 * the large-argument exponential-scaled (Hankel) asymptotic expansion.
 
 Both branches compute ``ln(exp(-z) I_nu(z))``, which stays representable where
@@ -11,16 +11,19 @@ I_nu itself overflows (z beyond ~709).  All terms of the power series are
 positive, so the series branch carries no cancellation and is accurate to
 near machine precision for any admissible order.
 
-The same series pass gives ``I_{nu+1}(z) / I_nu(z)``: term k of the I_{nu+1}
-series is term k of the I_nu series times (z/2) / (k + nu + 1), so one more
-accumulator suffices.  In the Hankel region the ratio is the quotient of the
-two asymptotic sums.
+One series pass, in units of its peak term, serves three callers.  Its sum
+and the log of the peak term (through :func:`log_gamma`) give the log value.
+Its reciprocal is the Bessel count's mass at its mode, which the count
+sampler uses.  And ``I_{nu+1}(z) / I_nu(z)`` needs one more accumulator:
+term k of the I_{nu+1} series is term k of the I_nu series times
+(z/2) / (k + nu + 1).  Neither the mass nor the ratio needs the peak term
+itself, so neither evaluates log Gamma.  In the Hankel region the ratio is
+the quotient of the two asymptotic sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError
 
@@ -30,6 +33,31 @@ from .errors import ParameterError
 _ASYM_Z_MIN = 50.0
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 100_000
+# Stirling's series for ln Gamma: B_2k / (2k (2k - 1)) for k = 7 down to 1.  At
+# x >= 16 the next term is below 3e-20.
+_STIRLING = (1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0,
+             1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
+_STIRLING_X_MIN = 16.0
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def log_gamma(x) -> np.ndarray:
+    """``ln Gamma(x)`` elementwise for x > 0, to about 1e-14.
+
+    Stirling's series at ``x + n >= 16``, less ``ln(x (x + 1) ... (x + n - 1))``.
+    """
+    x = np.asarray(x, dtype=float)
+    shift = np.ones_like(x)
+    while (small := x < _STIRLING_X_MIN).any():
+        shift = np.where(small, shift * x, shift)
+        x = np.where(small, x + 1.0, x)
+    r = 1.0 / x
+    r2 = r * r
+    tail = np.full_like(x, _STIRLING[0])
+    for c in _STIRLING[1:]:
+        tail *= r2
+        tail += c
+    return (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + tail * r - np.log(shift)
 
 
 def _check_args(nu: float, z: np.ndarray) -> None:
@@ -40,39 +68,39 @@ def _check_args(nu: float, z: np.ndarray) -> None:
         raise ParameterError("Bessel argument must be finite and nonnegative")
 
 
-def _ive_series(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Peak-centered power series: ``(ln(e^-z I_nu), I_{nu+1} / I_nu)``."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z)
-    ratio = np.zeros_like(z)
+def _hankel_region(nu: float, z: np.ndarray) -> np.ndarray:
+    """Where the Hankel expansion of I_nu, not the power series, is evaluated."""
+    return (z >= _ASYM_Z_MIN) & (nu * nu <= z)
 
-    zero = z == 0.0  # only the k = 0 term (z/2)^nu / Gamma(nu + 1) is left
-    out[zero] = 0.0 if nu == 0.0 else (np.inf if nu < 0.0 else -np.inf)
-    pos = ~zero
-    if not pos.any():
-        return out, ratio
 
-    zp = z[pos]
-    half = 0.5 * zp
-    logh = np.log(half)
-    # Index of the largest series term; the terms are unimodal in k.
-    kstar = np.floor(0.5 * (np.sqrt(nu * nu + zp * zp) - nu)).astype(np.int64)
-    kstar = np.maximum(kstar, 0)
-    log_peak = (nu + 2 * kstar) * logh - gammaln(kstar + 1.0) - gammaln(kstar + nu + 1.0)
+def _peak_index(nu: float, z: np.ndarray) -> np.ndarray:
+    """Index of the largest term of the I_nu power series at z > 0, as floats."""
+    return np.maximum(np.floor(0.5 * (np.sqrt(nu * nu + z * z) - nu)), 0.0)
 
-    total = np.ones_like(zp)
-    h2 = np.exp(2.0 * logh)
-    # shifted sums term_k / (k + nu + 1), the I_{nu+1} series over z/2.  Its term
-    # k - 1 is term_k * k / h2; h2 underflows only where kstar = 0 and so k = 0.
-    shifted = np.zeros_like(zp)
+
+def _peak_sums(nu: float, z: np.ndarray, ratio: bool = False):
+    """Power series of I_nu at z > 0, summed outward from its peak term.
+
+    Returns ``(k*, total, shifted)``: the peak index, the series sum in units
+    of its peak term, and, if ``ratio``, the I_{nu+1} series over z/2 in the
+    same units (else None).  So ``1 / total`` is the Bessel count's mass at
+    its mode and ``(z/2) shifted / total`` is ``I_{nu+1} / I_nu``.
+    """
+    kstar = _peak_index(nu, z)
+    total = np.ones_like(z)
+    h2 = np.exp(2.0 * np.log(0.5 * z))
+    # shifted sums term_k / (k + nu + 1).  Its term k - 1 is term_k * k / h2;
+    # h2 underflows only where kstar = 0 and so k = 0.
+    shifted = np.zeros_like(z) if ratio else None
     inv_h2 = 1.0 / np.maximum(h2, np.finfo(float).tiny)
 
     # Upward from the peak.
-    term = np.ones_like(zp)
-    k = kstar.astype(float)
+    term = np.ones_like(z)
+    k = kstar.copy()
     for _ in range(_MAX_TERMS):
         d = k + nu + 1.0
-        shifted += term / d
+        if ratio:
+            shifted += term / d
         term = term * h2 / ((k + 1.0) * d)
         total += term
         k += 1.0
@@ -80,20 +108,31 @@ def _ive_series(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
 
     # Downward from the peak (skipped for elements already at k = 0).
-    term = np.ones_like(zp)
-    k = kstar.astype(float)
+    term = np.ones_like(z)
+    k = kstar.copy()
     active = k > 0
     while active.any():
         tk = term * k
-        shifted += tk * inv_h2
+        if ratio:
+            shifted += tk * inv_h2
         term = np.divide(tk * (k + nu), h2, out=np.zeros_like(tk), where=active)
         total += term
         k -= 1.0
         active = (k > 0) & (term > _SERIES_RTOL * total)
+    return kstar, total, shifted
 
-    out[pos] = log_peak + np.log(total) - zp
-    ratio[pos] = half * shifted / total
-    return out, ratio
+
+def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
+    """Power-series branch of ``ln(e^-z I_nu)`` for z >= 0."""
+    out = np.empty_like(z)
+    zero = z == 0.0  # only the k = 0 term (z/2)^nu / Gamma(nu + 1) is left
+    out[zero] = 0.0 if nu == 0.0 else (np.inf if nu < 0.0 else -np.inf)
+    zp = z[~zero]
+    kstar, total, _ = _peak_sums(nu, zp)
+    log_peak = ((nu + 2.0 * kstar) * np.log(0.5 * zp)
+                - log_gamma(kstar + 1.0) - log_gamma(kstar + nu + 1.0))
+    out[~zero] = log_peak + np.log(total) - zp
+    return out
 
 
 def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
@@ -134,11 +173,11 @@ def log_bessel_iv_scaled(nu: float, z):
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     _check_args(nu, z_arr)
     out = np.empty_like(z_arr)
-    asym = (z_arr >= _ASYM_Z_MIN) & (nu * nu <= z_arr)
+    asym = _hankel_region(nu, z_arr)
     if asym.any():
         out[asym] = _log_ive_asymptotic(nu, z_arr[asym])
     if not asym.all():
-        out[~asym] = _ive_series(nu, z_arr[~asym])[0]
+        out[~asym] = _log_ive_series(nu, z_arr[~asym])
     return out if np.ndim(z) else float(out[0])
 
 
@@ -146,11 +185,14 @@ def bessel_ratio(nu: float, z):
     """Return ``I_{nu+1}(z) / I_nu(z)`` elementwise, overflow-free; 0 at z = 0."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     _check_args(nu, z_arr)
-    out = np.empty_like(z_arr)
-    asym = (z_arr >= _ASYM_Z_MIN) & ((nu + 1.0) ** 2 <= z_arr)
+    out = np.zeros_like(z_arr)
+    asym = _hankel_region(nu + 1.0, z_arr)
     if asym.any():
         za = z_arr[asym]
         out[asym] = _hankel_sum(nu + 1.0, za) / _hankel_sum(nu, za)
-    if not asym.all():
-        out[~asym] = _ive_series(nu, z_arr[~asym])[1]
+    series = ~asym & (z_arr > 0.0)
+    if series.any():
+        zs = z_arr[series]
+        _, total, shifted = _peak_sums(nu, zs, ratio=True)
+        out[series] = 0.5 * zs * shifted / total
     return out if np.ndim(z) else float(out[0])

@@ -5,15 +5,23 @@ generator behind :class:`~hestonsim.rng.RngStream` (which provides exact
 samplers for all parameter ranges, including gamma shapes below one and
 Poisson rates in the millions).  The Bessel count sampler is implemented
 here: its probability masses are the normalized power-series coefficients of
-I_nu, sampled by an outward search from the distribution mode.
+I_nu, sampled by an outward search from the distribution mode.  The mass at
+the mode is the reciprocal of the series sum taken relative to its peak term,
+which the Bessel layer computes in one pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
-from .bessel import _check_args, log_bessel_iv_scaled
+from .bessel import (
+    _check_args,
+    _hankel_region,
+    _peak_index,
+    _peak_sums,
+    log_bessel_iv_scaled,
+    log_gamma,
+)
 from .errors import NumericalError, ParameterError
 from .model import ModelParams, phi
 from .rng import RngStream
@@ -79,74 +87,84 @@ def sample_terminal_variance(v0, h: float, model: ModelParams, rng: RngStream):
 
 
 def bessel_rv_logpmf(nu: float, z, j):
-    """Log probability mass of the Bessel count at integer(s) j."""
+    """Log probability mass of the Bessel count at integer(s) j; -inf for j < 0."""
     z = np.asarray(z, dtype=float)
     j = np.asarray(j, dtype=float)
+    # log_gamma takes positive arguments only; the clipped entries are replaced below.
+    jc = np.maximum(j, 0.0)
     log_norm = log_bessel_iv_scaled(nu, z) + z
-    return (
-        (2.0 * j + nu) * np.log(0.5 * z)
-        - gammaln(j + 1.0)
-        - gammaln(j + nu + 1.0)
+    out = (
+        (2.0 * jc + nu) * np.log(0.5 * z)
+        - log_gamma(jc + 1.0)
+        - log_gamma(jc + nu + 1.0)
         - log_norm
     )
+    return np.where(j < 0.0, -np.inf, out)
 
 
 def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
     """Draw Bessel counts BES(nu, z), vectorized over z >= 0.
 
-    The mass at the mode j* ~ (sqrt(nu^2 + z^2) - nu)/2 is evaluated through
-    the log-scaled Bessel function, and probability is then accumulated
-    outward from the mode by the two-term ratio recursion until the uniform
-    draw is covered.  BES(nu, 0) is a point mass at 0.
+    The mode j* ~ (sqrt(nu^2 + z^2) - nu)/2 is the peak index of the I_nu
+    power series, so its mass is 1 / (series sum in units of its peak term),
+    from one peak-centred pass; where ``log_bessel_iv_scaled`` takes its
+    Hankel branch, the mass comes from ``bessel_rv_logpmf``.  Probability is
+    then accumulated outward from the mode by the two-term ratio recursion,
+    over the draws whose uniform is not yet covered, until each is.
+    BES(nu, 0) is a point mass at 0.
     """
     z = np.asarray(z, dtype=float)
     _check_args(nu, z)
     scalar = z.ndim == 0 and size is None
     if size is not None:
         z = np.broadcast_to(z, (size,) if np.isscalar(size) else size).astype(float)
-    z = np.atleast_1d(z)
+    shape = z.shape or (1,)
+    z = z.ravel()
     zero = z == 0.0
     if zero.any():
         # Search at a placeholder argument; the result is overwritten below.
         z = np.where(zero, 1.0, z)
 
-    u = rng.gen.uniform(size=z.shape)
-    jstar = np.maximum(np.floor(0.5 * (np.sqrt(nu * nu + z * z) - nu)), 0.0)
-    p_mode = np.exp(bessel_rv_logpmf(nu, z, jstar))
-    h2 = 0.25 * z * z
+    u = rng.gen.uniform(size=z.size)
+    result = _peak_index(nu, z)
+    p_mode = np.empty_like(z)
+    hankel = _hankel_region(nu, z)
+    if hankel.any():
+        p_mode[hankel] = np.exp(bessel_rv_logpmf(nu, z[hankel], result[hankel]))
+    if not hankel.all():
+        p_mode[~hankel] = 1.0 / _peak_sums(nu, z[~hankel])[1]
 
-    result = jstar.copy()
-    cum = p_mode.copy()
-    done = cum >= u
-    # Outward search state: next candidate above and below the mode.
-    p_up = p_mode.copy()
-    j_up = jstar.copy()
-    p_dn = p_mode.copy()
-    j_dn = jstar.copy()
+    # Outward search over the draws not covered at the mode: ``live`` indexes
+    # them, and the state arrays hold one entry per live draw.
+    live = np.flatnonzero(p_mode < u)
+    u, cum, h2 = u[live], p_mode[live], 0.25 * z[live] * z[live]
+    p_up, j_up = cum.copy(), result[live]
+    p_dn, j_dn = cum.copy(), j_up.copy()
     for _ in range(100_000):
-        if done.all():
+        if not live.size:
             break
         # Candidate above the mode.
         p_up = p_up * h2 / ((j_up + 1.0) * (j_up + nu + 1.0))
-        j_up = j_up + 1.0
-        take = ~done & (cum + p_up >= u)
-        result[take] = j_up[take]
-        cum += np.where(done, 0.0, p_up)
-        done |= take
+        j_up += 1.0
+        take_up = cum + p_up >= u
+        result[live[take_up]] = j_up[take_up]
+        cum += p_up
         # Candidate below the mode, while any remain.
         below = j_dn > 0.0
         # Masked: h2 underflows to 0 for z below ~1e-154, where j_dn is 0.
         p_dn = np.divide(p_dn * j_dn * (j_dn + nu), h2, out=np.zeros_like(h2), where=below)
-        j_dn = np.where(below, j_dn - 1.0, j_dn)
-        take = ~done & below & (cum + p_dn >= u)
-        result[take] = j_dn[take]
-        cum += np.where(done, 0.0, p_dn)
-        done |= take
+        j_dn -= below
+        take_dn = ~take_up & below & (cum + p_dn >= u)
+        result[live[take_dn]] = j_dn[take_dn]
+        cum += p_dn
         # The tail mass decays factorially; once it is below rounding noise
         # the remaining uniforms (measure ~1e-16) resolve to the mode.
         if np.max(p_up) + np.max(p_dn) < 1e-18:
             break
+        keep = ~(take_up | take_dn)
+        live, u, cum, h2, p_up, j_up, p_dn, j_dn = (
+            a[keep] for a in (live, u, cum, h2, p_up, j_up, p_dn, j_dn))
     else:
         raise NumericalError("Bessel count sampling failed to cover the uniform draw")
-    out = np.where(zero, 0, result).astype(np.int64)
+    out = np.where(zero, 0, result).astype(np.int64).reshape(shape)
     return int(out[0]) if scalar else out

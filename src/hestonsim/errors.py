@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-count check."""
+
+from numbers import Integral
 
 
 class HestonSimError(Exception):
@@ -19,3 +21,11 @@ class NumericalError(HestonSimError, ArithmeticError):
 
 class ConfigurationError(HestonSimError, ValueError):
     """Scheme, product, or experiment settings are mutually inconsistent."""
+
+
+def check_count(error: type[HestonSimError], name: str, value, low: int) -> None:
+    """Raise ``error`` unless ``value`` is an integer (numpy integers pass) >= ``low``."""
+    if not isinstance(value, Integral):
+        raise error(f"{name} must be integral, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}")

@@ -19,13 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic import price_european_exact, varswap_strike_discrete
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 from .model import ModelParams
 from .rng import RngStream
 from .schemes import (
     SERIES_KINDS,
     SchemeConfig,
-    _check_count,
+    check_call_config,
     check_varswap_config,
     price_european_cmc,
     varswap_fair_strike_mc,
@@ -58,19 +58,23 @@ class ExperimentSpec:
         if self.benchmark not in BENCHMARKS:
             raise ConfigurationError(f"unknown benchmark source {self.benchmark!r}")
         for count in (self.n_paths, self.n_reps):
-            _check_count(ConfigurationError, "n_paths and n_reps", count, 1)
+            check_count(ConfigurationError, "n_paths and n_reps", count, 1)
         # Written so that NaN fails them.
         if not self.maturity > 0:
             raise ConfigurationError("maturity must be positive")
         if not self.configs:
             raise ConfigurationError("at least one scheme config is required")
-        _check_count(ConfigurationError, "n_jobs", self.n_jobs, 1)
-        _check_count(ConfigurationError, "seed", self.seed, 0)
+        check_count(ConfigurationError, "n_jobs", self.n_jobs, 1)
+        check_count(ConfigurationError, "seed", self.seed, 0)
         if self.product == "european_call":
             if self.strike is None or not self.strike > 0:
                 raise ConfigurationError("european_call requires a positive strike")
             if self.benchmark == "varswap_closed_form":
                 raise ConfigurationError("variance-swap benchmark does not price calls")
+            if self.n_periods is not None:
+                raise ConfigurationError("n_periods applies only to variance swaps")
+            for cfg in self.configs:
+                check_call_config(cfg)
         else:
             if self.benchmark == "fourier":
                 raise ConfigurationError("Fourier benchmark does not price variance swaps")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError, check_count
+
 
 class RngStream:
     """A seed-derived random stream with cheap, independent substreams.
@@ -21,15 +23,23 @@ class RngStream:
     Parameters
     ----------
     seed : int
-        Root seed shared by the whole experiment.
+        Root seed shared by the whole experiment, >= 0.
     key : tuple of int, optional
-        Index of this stream in the substream tree.  The root stream has an
-        empty key; typical layouts use ``(experiment_id, batch_id)``.
+        Index of this stream in the substream tree, each element >= 0.  The
+        root stream has an empty key; typical layouts use
+        ``(experiment_id, batch_id)``.
+
+    Raises ParameterError for a seed or key element that is not a
+    nonnegative integer (numpy integers pass): a float or string is not
+    truncated.
     """
 
     __slots__ = ("seed", "key", "gen")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
+        check_count(ParameterError, "seed", seed, 0)
+        for k in key:
+            check_count(ParameterError, "substream key", k, 0)
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)

@@ -29,7 +29,6 @@ scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -42,7 +41,7 @@ from .distributions import (
     sample_std_gamma,
     sample_terminal_variance,
 )
-from .errors import ConfigurationError, DomainError, HestonSimError, ParameterError
+from .errors import ConfigurationError, DomainError, ParameterError, check_count
 from .model import (
     ModelParams,
     SeriesCoeffs,
@@ -73,14 +72,6 @@ BATCH_SIZE = 10_000
 _IG_LAMBDA_MAX = 1e300
 
 
-def _check_count(error: type[HestonSimError], name: str, value, low: int) -> None:
-    """Raise ``error`` unless ``value`` is an integer (numpy integers pass) >= ``low``."""
-    if not isinstance(value, Integral):
-        raise error(f"{name} must be integral, got {value!r}")
-    if value < low:
-        raise error(f"{name} must be >= {low}")
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Scheme selector with truncation level, step count, and correction mode."""
@@ -93,10 +84,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
-        _check_count(ConfigurationError, "trunc_k", self.trunc_k, 0)
+        check_count(ConfigurationError, "trunc_k", self.trunc_k, 0)
         if self.trunc_k and self.kind not in SERIES_KINDS:
             raise ConfigurationError(f"trunc_k applies only to series schemes, not {self.kind!r}")
-        _check_count(ConfigurationError, "n_steps", self.n_steps, 1)
+        check_count(ConfigurationError, "n_steps", self.n_steps, 1)
         if self.martingale_mode not in MARTINGALE_MODES:
             raise ConfigurationError(f"unknown martingale mode {self.martingale_mode!r}")
         if self.martingale_mode != "none" and self.kind not in TIME_DISCRETIZATION_KINDS:
@@ -112,9 +103,15 @@ class SchemeConfig:
         return self.kind.upper().replace("_", "-")
 
 
+def check_call_config(cfg: SchemeConfig) -> None:
+    """Terminal states for calls carry no correction of the squared log return."""
+    if cfg.martingale_mode == "return_variance":
+        raise ConfigurationError("the return-variance correction applies only to variance swaps")
+
+
 def check_varswap_config(cfg: SchemeConfig, n_periods: int) -> None:
     """Variance swaps are monitored on the simulation grid of a time-discretization scheme."""
-    _check_count(ConfigurationError, "n_periods", n_periods, 1)
+    check_count(ConfigurationError, "n_periods", n_periods, 1)
     if cfg.kind not in TIME_DISCRETIZATION_KINDS:
         raise ConfigurationError(
             f"variance swaps require a time-discretization scheme, got {cfg.kind!r}"
@@ -377,9 +374,8 @@ def cond_forward(s, v0, v_next, iv, h: float, model: ModelParams, mart_price=0.0
 def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,
                       rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate (V_T, total integrated variance, total price correction)."""
-    _check_count(ParameterError, "n_paths", n_paths, 0)
-    if cfg.martingale_mode == "return_variance":
-        raise ConfigurationError("the return-variance correction applies only to variance swaps")
+    check_count(ParameterError, "n_paths", n_paths, 0)
+    check_call_config(cfg)
     iv_tot = np.zeros(n_paths)
     mart_tot = np.zeros(n_paths)
     for _, res in _steps(step_plan(model, T / cfg.n_steps, cfg), n_paths, rng):
@@ -396,7 +392,7 @@ def _batch_mean(n_paths: int, rng: RngStream, batch) -> tuple[float, float]:
     running total, the squared deviations by the pairwise update of Chan,
     Golub & LeVeque, which does not cancel when the mean dwarfs the spread.
     """
-    _check_count(ParameterError, "n_paths", n_paths, 1)
+    check_count(ParameterError, "n_paths", n_paths, 1)
     n, total, m2 = 0, 0.0, 0.0
     for b, start in enumerate(range(0, n_paths, BATCH_SIZE)):
         x = batch(min(BATCH_SIZE, n_paths - start), rng.substream(b))

@@ -1,11 +1,13 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hestonsim.analytic import (
     QuadratureSpec,
+    _ndtr,
     bs_call_undiscounted,
     heston_charfn,
     heston_charfn_multifactor,
@@ -160,6 +162,23 @@ def test_bs_call_vectorized():
     out = bs_call_undiscounted(np.array([90.0, 110.0]), np.array([0.2, 0.0]), 1.0, 100.0)
     assert out.shape == (2,)
     assert out[1] == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("lo,hi,rtol", [(-37.0, -20.0, 5e-13), (-20.0, -5.0, 1.5e-13),
+                                         (-5.0, 0.0, 1e-14), (0.0, 8.5, 1e-15)])
+def test_ndtr_against_mpmath(lo, hi, rtol):
+    x = np.concatenate([np.linspace(lo, hi, 1001), np.random.default_rng(3).uniform(lo, hi, 2000)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.ncdf(mpmath.mpf(v))) for v in x])
+    assert np.max(np.abs(_ndtr(x) / ref - 1.0)) <= rtol
+
+
+def test_ndtr_extremes_are_exact_and_quiet():
+    x = np.array([-np.inf, -1e300, -1e155, -60.0, 60.0, 1e155, 1e300, np.inf, np.nan])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        out = _ndtr(x)
+    assert out[:-1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    assert np.isnan(out[-1])
 
 
 def test_varswap_continuous_reference():

@@ -4,10 +4,11 @@ import pytest
 import scipy.special as sp
 
 from hestonsim.bessel import (
-    _ive_series,
+    _log_ive_series,
     _log_ive_asymptotic,
     bessel_ratio,
     log_bessel_iv_scaled,
+    log_gamma,
 )
 from hestonsim.errors import ParameterError
 
@@ -56,7 +57,7 @@ def test_branch_overlap():
     zs = np.linspace(50.0, 120.0, 15)
     for nu in (0.0, 0.5, 2.0, 5.0):
         np.testing.assert_allclose(
-            _ive_series(nu, zs)[0], _log_ive_asymptotic(nu, zs), rtol=1e-8
+            _log_ive_series(nu, zs), _log_ive_asymptotic(nu, zs), rtol=1e-8
         )
 
 
@@ -127,3 +128,14 @@ def test_underflowed_argument_beside_large_one(nu):
     assert out[0] == log_bessel_iv_scaled(nu, z[0])
     assert out[1] == log_bessel_iv_scaled(nu, z[1])
     np.testing.assert_allclose(out[1], np.log(sp.ive(nu, 5.0)), rtol=1e-12)
+
+
+def test_log_gamma_against_mpmath():
+    # Absolute error where |ln Gamma| <= 1 (it vanishes at x = 1 and 2),
+    # relative beyond: the spacing of doubles near ln Gamma(1e6) = 1.28e7 is 1.9e-9.
+    x = np.concatenate([np.geomspace(1e-10, 1e6, 3000), np.linspace(0.5, 20.0, 1000),
+                        [1.0, 2.0, 16.0, np.nextafter(16.0, 0.0)]])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.loggamma(mpmath.mpf(v))) for v in x])
+    err = np.abs(log_gamma(x) - ref)
+    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref)))

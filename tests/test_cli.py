@@ -247,12 +247,12 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
-    "bench_opt1": "5316e975265edf49346ecbc171c7652d63ddd30463162c3a6c8718700729b574",
+    "bench_opt1": "7451a6f48c8dddb47087edb4cf55b334c4c8202ac67d1a59a9220a77bb4edfff",
     "bench_var3": "315964e30ce6744f0e0b34e3273c1f22a00a17922c3c4477431a58adaac2904a",
-    "bench_grid4": "64872732df664c78db8caea61e67b57e3d1985a9418dd020741fde41339c5118",
-    "price_flags": "48adf2c9d1b52d7032f4b2d5b5a5430fefb853ad8a2bd8882ed502262bf749b3",
+    "bench_grid4": "82fee8f8227f6931d55441f8bd8322d540293693f13273fd90bb53e8480191e5",
+    "price_flags": "7bafef728978643a0ec3a502a43761458e8cfdf042aec01d897221939ad6aa24",
     "price_params": "b3bca45662585eb1ba5d1332a073f7cf925164931293b6e591e28331ec88e242",
-    "price_grid": "3146156a0ca0e9a085f07b8d852a9b1a7bfb19e8a611baf41dba443a3f33243b",
+    "price_grid": "c447691b7240a815c7ad3e088f5ba13a1e495b09906b6452ff43258f366566a2",
     "varswap": "48a3035a27068a15cc4dc4eb97667a409059aa25cfac6254633961841c0ba758",
 }
 

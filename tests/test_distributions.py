@@ -146,6 +146,11 @@ def test_bessel_pmf_normalizes():
         assert abs(total - 1.0) < 1e-12
 
 
+def test_bessel_pmf_is_zero_below_the_support():
+    out = bessel_rv_logpmf(0.5, 3.0, np.array([-2.0, -1.0, -0.5, 0.0]))
+    assert out[:3].tolist() == [-np.inf] * 3 and np.isfinite(out[3])
+
+
 def test_bessel_rv_moments():
     model = CASE_PRESETS["III"].model
     v = 0.019
@@ -194,6 +199,27 @@ def test_bessel_rv_underflowing_argument():
     draws = sample_bessel_rv(0.5, z, RngStream(1))
     assert draws[0] == 0
     np.testing.assert_array_equal(draws[1:], sample_bessel_rv(0.5, np.full(100, 5.0), RngStream(1))[1:])
+
+
+def test_bessel_rv_shaped_size():
+    draws = sample_bessel_rv(0.5, 3.0, RngStream(3), size=(3, 4))
+    assert draws.shape == (3, 4)
+    np.testing.assert_array_equal(draws.ravel(), sample_bessel_rv(0.5, 3.0, RngStream(3), size=12))
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.634, 49.0])
+def test_bessel_rv_is_the_outward_inverse_of_its_uniform(nu):
+    # The search visits j*, j* + 1, j* - 1, j* + 2, ... and stops where the
+    # running mass first covers the uniform; each draw leaves the search on
+    # its own, whatever the other arguments in the call.
+    z = np.exp(np.random.default_rng(4).uniform(np.log(1e-3), np.log(200.0), 300))
+    draws = sample_bessel_rv(nu, z, RngStream(5))
+    u = RngStream(5).gen.uniform(size=z.size)
+    for zi, ui, d in zip(z, u, draws):
+        jstar = int(max(np.floor(0.5 * (np.sqrt(nu * nu + zi * zi) - nu)), 0.0))
+        order = [jstar] + [j for i in range(1, 400) for j in (jstar + i, jstar - i) if j >= 0]
+        cum = np.cumsum(np.exp(bessel_rv_logpmf(nu, zi, np.array(order, dtype=float))))
+        assert d == order[int(np.argmax(cum >= ui))]
 
 
 def test_samplers_are_pure_functions_of_stream():

@@ -74,11 +74,26 @@ def _varswap_spec(**overrides):
         dict(seed=1.7),
         dict(seed="3"),
         dict(seed=-1),
+        dict(configs=(SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),)),
+        dict(configs=(SchemeConfig("pois_ge"),
+                      SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"))),
+        dict(n_periods=4),
+        dict(n_periods=0),
     ],
 )
 def test_spec_validation_calls(overrides):
     with pytest.raises(ConfigurationError):
         _call_spec(**overrides)
+
+
+def test_call_spec_rejects_varswap_only_settings_by_name():
+    # The spec reports the error that simulate_terminal would raise later.
+    cfg = SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance")
+    with pytest.raises(ConfigurationError,
+                       match="^the return-variance correction applies only to variance swaps$"):
+        _call_spec(configs=(cfg,))
+    with pytest.raises(ConfigurationError, match="^n_periods applies only to variance swaps$"):
+        _call_spec(n_periods=4)
 
 
 @pytest.mark.parametrize(

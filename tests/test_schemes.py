@@ -455,8 +455,8 @@ def test_standard_error_does_not_cancel():
 @pytest.mark.parametrize(
     "driver,cfg,expected",
     [
-        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.759773912647261, 0.03618273814659747)),
-        ("call", SchemeConfig("ge", trunc_k=2), (6.785236268864784, 0.036071229140363356)),
+        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.759773912647262, 0.03618273814659747)),
+        ("call", SchemeConfig("ge", trunc_k=2), (6.785236268864786, 0.036071229140363356)),
         ("call", SchemeConfig("ig", n_steps=2), (6.764422502014079, 0.03615946325252426)),
         ("call", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
          (6.800240468912559, 0.03758645367255599)),
