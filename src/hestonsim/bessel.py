@@ -42,11 +42,14 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def log_gamma(x) -> np.ndarray:
-    """``ln Gamma(x)`` elementwise for x > 0, to about 1e-14.
+    """``ln Gamma(x)`` elementwise for finite x > 0, to about 1e-14.
 
     Stirling's series at ``x + n >= 16``, less ``ln(x (x + 1) ... (x + n - 1))``.
     """
     x = np.asarray(x, dtype=float)
+    # NaN fails the test too; -inf would never reach the Stirling range.
+    if x.size and not (x.min() > 0.0 and x.max() < np.inf):
+        raise ParameterError("log_gamma requires finite positive arguments")
     shift = np.ones_like(x)
     while (small := x < _STIRLING_X_MIN).any():
         shift = np.where(small, shift * x, shift)

@@ -62,8 +62,10 @@ def sample_invgauss(mu, lam, rng: RngStream, size=None):
     """Draw inverse Gaussian variates with mean mu and variance mu^3/lam."""
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if (mu <= 0).any() or (lam <= 0).any():
-        raise ParameterError("inverse Gaussian parameters must be positive")
+    for p in (mu, lam):
+        # min/max propagate NaN, so NaN fails the test too.
+        if p.size and not (p.min() > 0.0 and p.max() < np.inf):
+            raise ParameterError("inverse Gaussian parameters must be finite and positive")
     return rng.gen.wald(mu, lam, size=size)
 
 

@@ -9,14 +9,13 @@ transforms used as distributional oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .bessel import bessel_ratio, log_bessel_iv_scaled
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError, check_count
 
 # Hyperbolic overflow bound: sinh/cosh of arguments beyond this are not
 # representable in double precision.
@@ -163,18 +162,19 @@ def _poly_even(coeffs, a: float) -> float:
 class SeriesCoeffs:
     """Coefficient bundle of the gamma-series representation over one step.
 
-    ``m_x``/``v_x`` scale the endpoint-driven component and ``m_z``/``v_z``
-    the count-driven component of the integrated-variance moments; ``lam(k)``
-    and ``gam(k)`` generate the per-term Poisson rates and gamma scales.
+    ``mean_x``/``var_x`` scale the endpoint-driven component and
+    ``mean_z``/``var_z`` the count-driven component of the integrated-variance
+    moments, in time units; ``lam(k)`` and ``gam(k)`` generate the per-term
+    Poisson rates and gamma scales.
     """
 
     kappa: float
     xi: float
     h: float
-    m_x: float
-    v_x: float
-    m_z: float
-    v_z: float
+    mean_x: float
+    var_x: float
+    mean_z: float
+    var_z: float
 
     def lam(self, k):
         """Poisson rate multiplier of series term k (k >= 1)."""
@@ -188,42 +188,32 @@ class SeriesCoeffs:
         p2 = 4.0 * k * k * np.pi**2
         return (self.kappa**2 * self.h**2 + p2) / (2.0 * self.xi**2 * self.h**2)
 
-    def truncation_sums(self, trunc_k: int):
-        """Partial sums over k = 1..trunc_k of the four moment contributions.
+    def tail(self, trunc_k: int) -> SeriesCoeffs:
+        """The bundle of the series with terms 1..trunc_k removed.
 
-        Returns ``(sum lam/gam, sum 1/gam, sum 2*lam/gam^2, sum 1/gam^2)``,
-        the amounts removed from the full moments by explicit simulation of
-        the first ``trunc_k`` series terms.
+        Each factor loses its partial sum over the removed terms:
+        ``sum lam/gam``, ``sum 2 lam/gam^2``, ``sum 1/gam`` and ``sum 1/gam^2``.
+        Rounding can push a mathematically positive remainder slightly
+        negative; within 1e-14 of the full factor it is clamped to zero, and
+        beyond that it raises :class:`NumericalError`.
         """
-        if trunc_k < 0:
-            raise ParameterError("truncation level must be >= 0")
+        check_count(ParameterError, "trunc_k", trunc_k, 0)
         if trunc_k == 0:
-            return 0.0, 0.0, 0.0, 0.0
+            return self
         k = np.arange(1, trunc_k + 1, dtype=float)
         lam, gam = self.lam(k), self.gam(k)
-        return (
-            float(np.sum(lam / gam)),
-            float(np.sum(1.0 / gam)),
-            float(np.sum(2.0 * lam / gam**2)),
-            float(np.sum(1.0 / gam**2)),
-        )
 
-    # Full-moment scale factors of the two components, in time units.
-    @cached_property
-    def mean_x(self) -> float:
-        return self.m_x * self.h
+        def rest(full: float, removed) -> float:
+            out = full - float(np.sum(removed))
+            if out < -1e-14 * full:
+                raise NumericalError(
+                    f"truncated moment went negative beyond rounding tolerance at K={trunc_k}"
+                )
+            return max(out, 0.0)
 
-    @cached_property
-    def var_x(self) -> float:
-        return self.v_x * self.xi**2 * self.h**3
-
-    @cached_property
-    def mean_z(self) -> float:
-        return self.m_z * self.xi**2 * self.h**2
-
-    @cached_property
-    def var_z(self) -> float:
-        return self.v_z * self.xi**4 * self.h**4
+        return replace(self, mean_x=rest(self.mean_x, lam / gam),
+                       var_x=rest(self.var_x, 2.0 * lam / gam**2),
+                       mean_z=rest(self.mean_z, 1.0 / gam), var_z=rest(self.var_z, 1.0 / gam**2))
 
 
 def series_coeffs(model: ModelParams, h: float) -> SeriesCoeffs:
@@ -245,7 +235,9 @@ def series_coeffs(model: ModelParams, h: float) -> SeriesCoeffs:
         v_x = (c1 + a * c2 - 2.0 * a * a * c1 * c2) / (8.0 * a**3)
         m_z = (a * c1 - 1.0) / (4.0 * a * a)
         v_z = (a * c1 + a * a * c2 - 2.0) / (16.0 * a**4)
-    return SeriesCoeffs(model.kappa, model.xi, h, m_x, v_x, m_z, v_z)
+    xi = model.xi
+    return SeriesCoeffs(model.kappa, xi, h, m_x * h, v_x * xi**2 * h**3,
+                        m_z * xi**2 * h**2, v_z * xi**4 * h**4)
 
 
 def check_factors(models: list[ModelParams]) -> ModelParams:
@@ -330,27 +322,11 @@ def iv_moments_truncated(
 ) -> IvMoments:
     """Moments of the series remainder after removing the first trunc_k terms.
 
-    ``trunc_k = 0`` reproduces :func:`iv_moments_pois` exactly.  Rounding can
-    push a mathematically nonnegative remainder slightly negative; such values
-    are clamped to zero, while a negative value beyond rounding magnitude
-    raises :class:`NumericalError`.
+    :func:`iv_moments_pois` with the bundle's :meth:`SeriesCoeffs.tail`, so
+    ``trunc_k = 0`` reproduces it exactly.
     """
     c = coeffs if coeffs is not None else series_coeffs(model, h)
-    full = iv_moments_pois(v0, v_t, mu, model, h, c)
-    if trunc_k == 0:
-        return full
-    s_lg, s_g, s_lg2, s_g2 = c.truncation_sums(trunc_k)
-    vsum = np.asarray(v0, float) + np.asarray(v_t, float)
-    shape = 0.5 * model.delta + 2.0 * np.asarray(mu, float)
-    mean = full.mean - vsum * s_lg - shape * s_g
-    variance = full.variance - vsum * s_lg2 - shape * s_g2
-    for trunc, ref in ((mean, full.mean), (variance, full.variance)):
-        bad = trunc < -1e-14 * ref
-        if bad.any():
-            raise NumericalError(
-                f"truncated moment went negative beyond rounding tolerance at K={trunc_k}"
-            )
-    return IvMoments(np.maximum(mean, 0.0), np.maximum(variance, 0.0))
+    return iv_moments_pois(v0, v_t, mu, model, h, c.tail(trunc_k))
 
 
 def _laplace_terms(u, v0, v_t, model: ModelParams, h: float):

@@ -136,8 +136,8 @@ class StepPlan:
     #: Poisson rates and gamma scales of the first ``trunc_k`` series terms.
     lam_k: tuple[float, ...] = ()
     gam_k: tuple[float, ...] = ()
-    #: ``coeffs.truncation_sums(trunc_k)``.
-    sums: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    #: ``coeffs.tail(trunc_k)``: the moment factors of the series remainder.
+    tail: Optional[SeriesCoeffs] = None
 
 
 def step_plan(model: ModelParams, h: float, cfg: SchemeConfig) -> StepPlan:
@@ -147,7 +147,7 @@ def step_plan(model: ModelParams, h: float, cfg: SchemeConfig) -> StepPlan:
     c = series_coeffs(model, h)
     ks = np.arange(1, cfg.trunc_k + 1)
     return StepPlan(model, h, cfg, c, phi(model.kappa, h, model.xi), tuple(c.lam(ks)),
-                    tuple(c.gam(ks)), c.truncation_sums(cfg.trunc_k))
+                    tuple(c.gam(ks)), c.tail(cfg.trunc_k))
 
 
 @dataclass
@@ -213,7 +213,7 @@ def step_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
     error: at Case I its Laplace transform exceeds the exact conditional one
     by 1.8-3.9% at K = 0 and by 0.3-0.8% at K = 1.
     """
-    model, c = plan.model, plan.coeffs
+    model, rest = plan.model, plan.tail
     n = v.shape[0]
     v_next, _ = sample_terminal_variance(v, plan.h, model, rng)
     eta = sample_bessel_rv(model.nu, np.sqrt(v * v_next) * plan.phi_h, rng)
@@ -228,23 +228,16 @@ def step_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
         term += sample_std_gamma(2.0 * eta, rng)
         iv += term / gam
 
-    s_lg, s_g, s_lg2, s_g2 = plan.sums
-    # Remainder moment factors; rounding in the partial sums can leave a
-    # vanishing negative residue, which is clamped away.
-    rm_x = max(c.mean_x - s_lg, 0.0)
-    rv_x = max(c.var_x - s_lg2, 0.0)
-    rm_z = max(c.mean_z - s_g, 0.0)
-    rv_z = max(c.var_z - s_g2, 0.0)
     # Endpoint-driven remainder.
-    iv += _gamma_from_moments(vsum * rm_x, vsum * rv_x, rng)
+    iv += _gamma_from_moments(vsum * rest.mean_x, vsum * rest.var_x, rng)
     # Fixed-shape remainder.
     iv += _gamma_from_moments(
-        np.full(n, half_delta * rm_z), np.full(n, half_delta * rv_z), rng
+        np.full(n, half_delta * rest.mean_z), np.full(n, half_delta * rest.var_z), rng
     )
     # Count-driven remainder: eta independent copies, each gamma-matched;
     # their sum is a gamma with eta times the per-copy shape.
-    m2 = 2.0 * rm_z
-    v2 = 2.0 * rv_z
+    m2 = 2.0 * rest.mean_z
+    v2 = 2.0 * rest.var_z
     if v2 > 0:
         iv += (v2 / m2) * sample_std_gamma(eta * (m2 * m2 / v2), rng)
     else:

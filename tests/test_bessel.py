@@ -139,3 +139,11 @@ def test_log_gamma_against_mpmath():
         ref = np.array([float(mpmath.loggamma(mpmath.mpf(v))) for v in x])
     err = np.abs(log_gamma(x) - ref)
     assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("x", [-np.inf, np.nan, 0.0, -0.5, np.inf])
+def test_log_gamma_rejects_non_positive_and_non_finite(x):
+    with pytest.raises(ParameterError, match="finite positive"):
+        log_gamma(x)
+    with pytest.raises(ParameterError, match="finite positive"):
+        log_gamma(np.array([1.0, x, 3.0]))

@@ -247,9 +247,9 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
-    "bench_opt1": "7451a6f48c8dddb47087edb4cf55b334c4c8202ac67d1a59a9220a77bb4edfff",
+    "bench_opt1": "f6da2b3d8b6ee7d2588048f75762be91f8a23a65e7e24e9b2aa7d91772b5bd55",
     "bench_var3": "315964e30ce6744f0e0b34e3273c1f22a00a17922c3c4477431a58adaac2904a",
-    "bench_grid4": "82fee8f8227f6931d55441f8bd8322d540293693f13273fd90bb53e8480191e5",
+    "bench_grid4": "a5f74f23d926222133a66ed53657a0f51cfcefddcc35422d25a8434db69bad12",
     "price_flags": "7bafef728978643a0ec3a502a43761458e8cfdf042aec01d897221939ad6aa24",
     "price_params": "b3bca45662585eb1ba5d1332a073f7cf925164931293b6e591e28331ec88e242",
     "price_grid": "c447691b7240a815c7ad3e088f5ba13a1e495b09906b6452ff43258f366566a2",

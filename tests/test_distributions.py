@@ -111,6 +111,13 @@ def test_invgauss_invalid_params():
         sample_invgauss(1.0, 0.0, RngStream(1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invgauss_rejects_non_finite(bad):
+    for mu, lam in (([1.0, bad], [1.0, 1.0]), ([1.0, 1.0], [1.0, bad]), (bad, 1.0)):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            sample_invgauss(np.array(mu), np.array(lam), RngStream(1))
+
+
 @pytest.mark.parametrize("name", sorted(CASE_PRESETS))
 def test_terminal_variance_matches_transition_moments(name):
     preset = CASE_PRESETS[name]

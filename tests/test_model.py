@@ -93,12 +93,19 @@ def test_avg_variance_fixed_point():
     assert mean == pytest.approx(m.theta)
 
 
+def _unit_factors(c):
+    """The four moment factors of ``c`` with their time and xi scales divided out."""
+    xi, h = c.xi, c.h
+    return (c.mean_x / h, c.var_x / (xi**2 * h**3), c.mean_z / (xi**2 * h**2),
+            c.var_z / (xi**4 * h**4))
+
+
 def test_series_coeffs_small_a_limits():
     m = CASE_PRESETS["III"].model
-    c = series_coeffs(m, 1e-9)
-    assert c.m_x == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert c.m_z == pytest.approx(1.0 / 12.0, rel=1e-12)
-    assert c.v_x > 0 and c.v_z > 0
+    m_x, v_x, m_z, v_z = _unit_factors(series_coeffs(m, 1e-9))
+    assert m_x == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert m_z == pytest.approx(1.0 / 12.0, rel=1e-12)
+    assert v_x > 0 and v_z > 0
 
 
 def test_series_coeffs_branch_continuity():
@@ -106,8 +113,30 @@ def test_series_coeffs_branch_continuity():
     m = CASE_PRESETS["I"].model
     lo = series_coeffs(m, 2 * 0.2 / m.kappa * (1 - 1e-9))
     hi = series_coeffs(m, 2 * 0.2 / m.kappa * (1 + 1e-9))
-    for attr in ("m_x", "v_x", "m_z", "v_z"):
-        np.testing.assert_allclose(getattr(lo, attr), getattr(hi, attr), rtol=1e-8)
+    np.testing.assert_allclose(_unit_factors(lo), _unit_factors(hi), rtol=1e-8)
+
+
+def test_series_tail_adds_back_to_full_factors():
+    c = series_coeffs(CASE_PRESETS["I"].model, 10.0)
+    kk = 8
+    rest = c.tail(kk)
+    k = np.arange(1, kk + 1, dtype=float)
+    lam, gam = c.lam(k), c.gam(k)
+    removed = {"mean_x": np.sum(lam / gam), "var_x": np.sum(2.0 * lam / gam**2),
+               "mean_z": np.sum(1.0 / gam), "var_z": np.sum(1.0 / gam**2)}
+    for name, s in removed.items():
+        assert getattr(rest, name) > 0
+        np.testing.assert_allclose(getattr(rest, name) + s, getattr(c, name), rtol=1e-12)
+    assert (rest.kappa, rest.xi, rest.h) == (c.kappa, c.xi, c.h)
+
+
+@pytest.mark.parametrize("trunc_k", [1.5, "2", -1])
+def test_series_tail_rejects_non_counts(trunc_k):
+    m = CASE_PRESETS["III"].model
+    with pytest.raises(ParameterError, match="trunc_k"):
+        series_coeffs(m, 1.0).tail(trunc_k)
+    with pytest.raises(ParameterError, match="trunc_k"):
+        iv_moments_truncated(trunc_k, 0.02, 0.02, 1, m, 1.0)
 
 
 def test_series_partial_sums_converge_to_moment_scales():
@@ -153,6 +182,8 @@ def test_iv_moments_pois_monotone_in_count():
 
 def test_iv_moments_truncated_k0_identity():
     m = CASE_PRESETS["II"].model
+    c = series_coeffs(m, 3.0)
+    assert c.tail(0) is c
     full = iv_moments_pois(0.03, 0.05, 2, m, 3.0)
     trunc = iv_moments_truncated(0, 0.03, 0.05, 2, m, 3.0)
     assert trunc.mean == full.mean and trunc.variance == full.variance
@@ -181,7 +212,7 @@ def test_iv_moments_truncated_rejects_negative_remainder():
     # With the endpoint mean factor zeroed, the four removed terms exceed the
     # full mean by far more than rounding, which must not be clamped away.
     m = CASE_PRESETS["III"].model
-    coeffs = dataclasses.replace(series_coeffs(m, 1.0), m_x=0.0)
+    coeffs = dataclasses.replace(series_coeffs(m, 1.0), mean_x=0.0)
     with pytest.raises(NumericalError, match="beyond rounding tolerance"):
         iv_moments_truncated(4, 1.0, 1.0, 0, m, 1.0, coeffs)
 

@@ -11,7 +11,8 @@ from hestonsim.distributions import (
     sample_std_gamma,
     sample_terminal_variance,
 )
-from hestonsim.errors import ConfigurationError, ParameterError
+from hestonsim import schemes
+from hestonsim.errors import ConfigurationError, NumericalError, ParameterError
 from hestonsim.model import (
     ModelParams,
     avg_variance_moments,
@@ -251,6 +252,17 @@ def test_pois_ge_truncated_laplace_identity():
     ref = cond_laplace_pois(u, v0, v1, mu, model, h)
     se = emp.std() / np.sqrt(n)
     assert abs(emp.mean() - ref) < 3 * se
+
+
+def test_ge_rejects_negative_remainder(monkeypatch):
+    # With the endpoint mean factor zeroed, the removed terms exceed it by far
+    # more than rounding, so the gamma-matched remainder must not be clamped away.
+    model = CASE_PRESETS["III"].model
+    doctored = replace(series_coeffs(model, 1.0), mean_x=0.0)
+    monkeypatch.setattr(schemes, "series_coeffs", lambda m, h: doctored)
+    with pytest.raises(NumericalError, match="beyond rounding tolerance at K=4"):
+        step_ge(np.full(10, model.v0), step_plan(model, 1.0, SchemeConfig("ge", 4)),
+                RngStream(29))
 
 
 def test_pois_td_small_h_mean():
