@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError
-from .model import ModelParams, check_factors
+from .errors import DomainError, NumericalError, ParameterError, check_array
+from .model import ModelParams, avg_variance_moments, check_factors
 
 # exp() overflows double precision beyond this exponent magnitude.
 _MAX_EXP_ARG = 700.0
@@ -126,6 +126,12 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
     k = np.log(strike / head.s0)
     spot = head.s0 * np.exp(-head.q * T)
     b = strike * np.exp(-head.r * T) / spot
+    # Far out of the money both terms of the price are about b/2, so it carries
+    # a rounding error of about b eps spot; beyond spot, the largest call
+    # price, no digit of it is known.
+    rounding = b * np.finfo(float).eps
+    if not rounding < 1.0:
+        raise NumericalError(f"strike {strike} is too far out of the money for Fourier inversion")
     # u in units of 1 / sd(ln S_T), the variance taken as its expected value.
     scale = 1.0 / np.sqrt(T * sum(varswap_strike_continuous(m, T) for m in models))
 
@@ -151,19 +157,21 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
         if nodes > quad.limit:
             raise NumericalError(f"Fourier quadrature did not converge within {quad.limit} nodes")
         prev, total = total, 0.5 * total + h * weighted(t[0] + h * np.arange(1, n, 2)).imag.sum()
-    return spot * (0.5 * (1.0 - b) + total / np.pi)
+    price = spot * (0.5 * (1.0 - b) + total / np.pi)
+    # The no-arbitrage range, widened by the rounding and the quadrature tolerance.
+    tol = spot * (rounding + quad.epsabs)
+    if not spot * max(1.0 - b, 0.0) - tol <= price <= spot + tol:
+        raise NumericalError(f"Fourier price {price} lies outside the no-arbitrage range")
+    return price
 
 
 def bs_call_undiscounted(forward, sigma, T: float, strike):
     """Undiscounted Black call price on the forward; sigma = 0 gives intrinsic value."""
     if not T > 0:
         raise ParameterError("T must be positive")
-    forward = np.asarray(forward, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    strike = np.asarray(strike, dtype=float)
-    # Written so that NaN fails it.
-    if not ((forward > 0).all() and (strike > 0).all() and (sigma >= 0).all()):
-        raise ParameterError("forward and strike must be positive, sigma nonnegative")
+    forward = check_array(ParameterError, "forward", forward, positive=True)
+    sigma = check_array(ParameterError, "sigma", sigma)
+    strike = check_array(ParameterError, "strike", strike, positive=True)
     vol = sigma * np.sqrt(T)
     safe = np.where(vol > 0, vol, 1.0)
     d1 = np.log(forward / strike) / safe + 0.5 * safe
@@ -206,10 +214,7 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
 
 def varswap_strike_continuous(model: ModelParams, T: float) -> float:
     """Fair strike of the continuously monitored variance swap."""
-    if not T > 0:
-        raise ParameterError("T must be positive")
-    kt = model.kappa * T
-    return model.theta + (model.v0 - model.theta) * (1.0 - np.exp(-kt)) / kt
+    return avg_variance_moments(model, T)[0]
 
 
 def varswap_strike_discrete(model: ModelParams, T: float, h: float) -> float:

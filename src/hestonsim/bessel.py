@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_array
 
 # Crossover to the asymptotic branch.  The scaled asymptotic series reaches
 # machine precision before diverging once z is comfortably larger than nu^2;
@@ -46,10 +46,7 @@ def log_gamma(x) -> np.ndarray:
 
     Stirling's series at ``x + n >= 16``, less ``ln(x (x + 1) ... (x + n - 1))``.
     """
-    x = np.asarray(x, dtype=float)
-    # NaN fails the test too; -inf would never reach the Stirling range.
-    if x.size and not (x.min() > 0.0 and x.max() < np.inf):
-        raise ParameterError("log_gamma requires finite positive arguments")
+    x = check_array(ParameterError, "log_gamma argument", x, positive=True)
     shift = np.ones_like(x)
     while (small := x < _STIRLING_X_MIN).any():
         shift = np.where(small, shift * x, shift)
@@ -63,12 +60,11 @@ def log_gamma(x) -> np.ndarray:
     return (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + tail * r - np.log(shift)
 
 
-def _check_args(nu: float, z: np.ndarray) -> None:
+def _check_args(nu: float, z) -> np.ndarray:
+    """Check the order and return the argument as a float array."""
     if not np.isfinite(nu) or nu <= -1.0:
         raise ParameterError(f"Bessel order must satisfy nu > -1, got {nu}")
-    # min/max propagate NaN, so NaN fails the test too.
-    if z.size and not (z.min() >= 0.0 and z.max() < np.inf):
-        raise ParameterError("Bessel argument must be finite and nonnegative")
+    return check_array(ParameterError, "Bessel argument", z)
 
 
 def _hankel_region(nu: float, z: np.ndarray) -> np.ndarray:
@@ -173,8 +169,7 @@ def log_bessel_iv_scaled(nu: float, z):
     z : array_like
         Nonnegative argument(s).
     """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_args(nu, z_arr)
+    z_arr = np.atleast_1d(_check_args(nu, z))
     out = np.empty_like(z_arr)
     asym = _hankel_region(nu, z_arr)
     if asym.any():
@@ -186,8 +181,7 @@ def log_bessel_iv_scaled(nu: float, z):
 
 def bessel_ratio(nu: float, z):
     """Return ``I_{nu+1}(z) / I_nu(z)`` elementwise, overflow-free; 0 at z = 0."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_args(nu, z_arr)
+    z_arr = np.atleast_1d(_check_args(nu, z))
     out = np.zeros_like(z_arr)
     asym = _hankel_region(nu + 1.0, z_arr)
     if asym.any():

@@ -135,9 +135,11 @@ def _case_from_config(values: dict[str, str], path: str) -> tuple[ModelParams, f
     """Return (model, maturity, strike); the strike defaults to the spot."""
     model = model_from_config(values, path)
     maturity = _convert(path, "product.maturity", values.get("product.maturity", 0))
-    if maturity <= 0:
-        raise ConfigurationError("config must set product.maturity > 0")
     strike = _convert(path, "product.strike", values.get("product.strike", model.s0))
+    for key, value in (("product.maturity", maturity), ("product.strike", strike)):
+        # Written so that NaN fails it.
+        if not 0 < value < float("inf"):
+            raise ConfigurationError(f"{path}: {key} must be finite and positive")
     return model, maturity, strike
 
 

@@ -22,7 +22,7 @@ from .bessel import (
     log_bessel_iv_scaled,
     log_gamma,
 )
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_array
 from .model import ModelParams, phi
 from .rng import RngStream
 
@@ -32,11 +32,8 @@ _MAX_POISSON_RATE = 2.0**62
 
 def sample_poisson(rate, rng: RngStream, size=None):
     """Draw Poisson counts with the given rate (scalar or array)."""
-    rate = np.asarray(rate, dtype=float)
-    lo, hi = (rate.min(), rate.max()) if rate.size else (0.0, 0.0)
-    if not (lo >= 0.0 and hi < np.inf):
-        raise ParameterError("Poisson rate must be finite and nonnegative")
-    if hi >= _MAX_POISSON_RATE:
+    rate = check_array(ParameterError, "Poisson rate", rate)
+    if rate.size and rate.max() >= _MAX_POISSON_RATE:
         raise ParameterError(
             "Poisson rate too large to sample as an integer count; "
             "use a larger time step or fewer paths per call"
@@ -50,9 +47,7 @@ def sample_std_gamma(shape, rng: RngStream, size=None):
     Shapes of exactly zero are allowed elementwise in array calls and yield
     zero (the degenerate gamma), which the series samplers rely on.
     """
-    shape = np.asarray(shape, dtype=float)
-    if shape.size and not (shape.min() >= 0.0 and shape.max() < np.inf):
-        raise ParameterError("gamma shape must be finite and nonnegative")
+    shape = check_array(ParameterError, "gamma shape", shape)
     if shape.ndim == 0 and shape == 0:
         raise ParameterError("gamma shape must be positive")
     return rng.gen.standard_gamma(shape, size=size)
@@ -60,12 +55,8 @@ def sample_std_gamma(shape, rng: RngStream, size=None):
 
 def sample_invgauss(mu, lam, rng: RngStream, size=None):
     """Draw inverse Gaussian variates with mean mu and variance mu^3/lam."""
-    mu = np.asarray(mu, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    for p in (mu, lam):
-        # min/max propagate NaN, so NaN fails the test too.
-        if p.size and not (p.min() > 0.0 and p.max() < np.inf):
-            raise ParameterError("inverse Gaussian parameters must be finite and positive")
+    mu = check_array(ParameterError, "inverse Gaussian mean", mu, positive=True)
+    lam = check_array(ParameterError, "inverse Gaussian shape", lam, positive=True)
     return rng.gen.wald(mu, lam, size=size)
 
 
@@ -77,10 +68,9 @@ def sample_terminal_variance(v0, h: float, model: ModelParams, rng: RngStream):
     The marginal law of ``v_next`` is the exact noncentral chi-square
     transition of the variance process.
     """
-    v0 = np.asarray(v0, dtype=float)
-    # NaN fails the comparison, so it is rejected too.
-    if not (h > 0 and (v0.size == 0 or v0.min() >= 0.0)):
-        raise ParameterError("h must be positive and v0 nonnegative")
+    if not h > 0:
+        raise ParameterError("h must be positive")
+    v0 = check_array(ParameterError, "v0", v0)
     phi_h = phi(model.kappa, h, model.xi)
     ekh = np.exp(-0.5 * model.kappa * h)
     mu = sample_poisson(0.5 * v0 * phi_h * ekh, rng)
@@ -115,8 +105,7 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
     over the draws whose uniform is not yet covered, until each is.
     BES(nu, 0) is a point mass at 0.
     """
-    z = np.asarray(z, dtype=float)
-    _check_args(nu, z)
+    z = _check_args(nu, z)
     scalar = z.ndim == 0 and size is None
     if size is not None:
         z = np.broadcast_to(z, (size,) if np.isscalar(size) else size).astype(float)

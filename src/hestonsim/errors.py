@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer-count check."""
+"""Exception types shared across the package, and the count and array argument checks."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class HestonSimError(Exception):
@@ -29,3 +31,17 @@ def check_count(error: type[HestonSimError], name: str, value, low: int) -> None
         raise error(f"{name} must be integral, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}")
+
+
+def check_array(error: type[HestonSimError], name: str, x, *, positive: bool = False) -> np.ndarray:
+    """Return ``x`` as a float array; raise ``error`` unless every element is
+    finite and >= 0 (> 0 if ``positive``).
+
+    One min and one max decide it: both propagate NaN, and an empty array passes.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size:
+        lo, hi = x.min(), x.max()
+        if not ((lo > 0.0 if positive else lo >= 0.0) and hi < np.inf):
+            raise error(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+    return x

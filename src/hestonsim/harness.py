@@ -60,15 +60,15 @@ class ExperimentSpec:
         for count in (self.n_paths, self.n_reps):
             check_count(ConfigurationError, "n_paths and n_reps", count, 1)
         # Written so that NaN fails them.
-        if not self.maturity > 0:
-            raise ConfigurationError("maturity must be positive")
+        if not 0 < self.maturity < np.inf:
+            raise ConfigurationError("maturity must be finite and positive")
         if not self.configs:
             raise ConfigurationError("at least one scheme config is required")
         check_count(ConfigurationError, "n_jobs", self.n_jobs, 1)
         check_count(ConfigurationError, "seed", self.seed, 0)
         if self.product == "european_call":
-            if self.strike is None or not self.strike > 0:
-                raise ConfigurationError("european_call requires a positive strike")
+            if self.strike is None or not 0 < self.strike < np.inf:
+                raise ConfigurationError("european_call requires a finite positive strike")
             if self.benchmark == "varswap_closed_form":
                 raise ConfigurationError("variance-swap benchmark does not price calls")
             if self.n_periods is not None:

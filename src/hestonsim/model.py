@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bessel import bessel_ratio, log_bessel_iv_scaled
-from .errors import DomainError, NumericalError, ParameterError, check_count
+from .errors import DomainError, NumericalError, ParameterError, check_array, check_count
 
 # Hyperbolic overflow bound: sinh/cosh of arguments beyond this are not
 # representable in double precision.
@@ -111,10 +111,9 @@ def terminal_variance_moments(v0, t: float, model: ModelParams):
 
     Vectorized over ``v0``.
     """
-    v0 = np.asarray(v0, dtype=float)
     if not t > 0:
         raise ParameterError("t must be positive")
-    _check_endpoints(v0)
+    v0 = check_array(ParameterError, "v0", v0)
     e = np.exp(-model.kappa * t)
     mean = model.theta + (v0 - model.theta) * e
     var = (model.xi**2 / model.kappa) * (1.0 - e) * (v0 * e + 0.5 * model.theta * (1.0 - e))
@@ -132,7 +131,7 @@ def avg_variance_moments(model: ModelParams, t: float):
     kt = kappa * t
     e = np.exp(-kt)
     g = (1.0 - e) / kt
-    mean = theta + (v0 - theta) * g
+    mean = theta + (v0 - theta) * (1.0 - e) / kt
     var = (xi**2 / (kappa**2 * t)) * (
         theta - 2.0 * (v0 - theta) * e + (v0 - 2.5 * theta + (v0 - 0.5 * theta) * e) * g
     )
@@ -251,13 +250,6 @@ def check_factors(models: list[ModelParams]) -> ModelParams:
     return head
 
 
-def _check_endpoints(*vs) -> None:
-    for v in vs:
-        # NaN fails the comparison, so it is rejected too.
-        if v.size and not v.min() >= 0.0:
-            raise ParameterError("variance endpoints must be nonnegative")
-
-
 class IvMoments(NamedTuple):
     """Mean and variance of the conditional integrated variance (array-valued)."""
 
@@ -271,7 +263,9 @@ def eta_moments(v0, v_t, model: ModelParams, h: float):
     With r1 = I_{nu+1}(z)/I_nu(z), the recurrence I_{nu+2}/I_nu = 1 - 2(nu+1) r1/z
     gives var = z^2/4 - nu*mean - mean^2 from mean = z r1/2.
     """
-    z = np.sqrt(np.asarray(v0, float) * np.asarray(v_t, float)) * phi(model.kappa, h, model.xi)
+    v0 = check_array(ParameterError, "v0", v0)
+    v_t = check_array(ParameterError, "v_t", v_t)
+    z = np.sqrt(v0 * v_t) * phi(model.kappa, h, model.xi)
     mean = 0.5 * z * bessel_ratio(model.nu, z)
     var = 0.25 * z * z - model.nu * mean - mean * mean
     return mean, var
@@ -284,11 +278,8 @@ def iv_moments_bessel(v0, v_t, model: ModelParams, h: float, coeffs: SeriesCoeff
     variant :func:`iv_moments_pois` avoids them.
     """
     c = coeffs if coeffs is not None else series_coeffs(model, h)
-    v0 = np.asarray(v0, dtype=float)
-    v_t = np.asarray(v_t, dtype=float)
-    _check_endpoints(v0, v_t)
-    e_eta, var_eta = eta_moments(v0, v_t, model, h)
-    vsum = v0 + v_t
+    e_eta, var_eta = eta_moments(v0, v_t, model, h)  # checks the endpoints
+    vsum = np.add(v0, v_t, dtype=float)
     half_delta = 0.5 * model.delta
     mean = vsum * c.mean_x + (half_delta + 2.0 * e_eta) * c.mean_z
     variance = (
@@ -306,12 +297,9 @@ def iv_moments_pois(v0, v_t, mu, model: ModelParams, h: float, coeffs: SeriesCoe
     so both moments are elementary in (v0, v_t, mu).
     """
     c = coeffs if coeffs is not None else series_coeffs(model, h)
-    v0 = np.asarray(v0, dtype=float)
-    v_t = np.asarray(v_t, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    _check_endpoints(v0, v_t)
-    if (mu < 0).any():
-        raise ParameterError("Poisson count must be nonnegative")
+    v0 = check_array(ParameterError, "v0", v0)
+    v_t = check_array(ParameterError, "v_t", v_t)
+    mu = check_array(ParameterError, "Poisson count", mu)
     vsum = v0 + v_t
     shape = 0.5 * model.delta + 2.0 * mu
     return IvMoments(vsum * c.mean_x + shape * c.mean_z, vsum * c.var_x + shape * c.var_z)
@@ -335,13 +323,13 @@ def _laplace_terms(u, v0, v_t, model: ModelParams, h: float):
     Returns ``(log_x, log_phi_u, log_phi_k)``: the log endpoint factor, and
     ln phi at kappa_u = sqrt(kappa^2 + 2 xi^2 u) and at kappa.
     """
-    u = np.asarray(u, dtype=float)
-    if (u < 0).any():
-        raise ParameterError("Laplace argument must be nonnegative")
+    u = check_array(ParameterError, "Laplace argument", u)
+    v0 = check_array(ParameterError, "v0", v0)
+    v_t = check_array(ParameterError, "v_t", v_t)
     ku = np.sqrt(model.kappa**2 + 2.0 * model.xi**2 * u)
     if (0.5 * ku * h > _MAX_HYP_ARG).any():
         raise DomainError("kappa_u * h/2 overflows the hyperbolic functions")
-    log_x = -0.5 * (np.asarray(v0, float) + np.asarray(v_t, float)) * (
+    log_x = -0.5 * (v0 + v_t) * (
         _coth_phi(ku, h, model.xi) - _coth_phi(model.kappa, h, model.xi)
     )
     return log_x, _log_phi(ku, h, model.xi), _log_phi(model.kappa, h, model.xi)
@@ -354,7 +342,7 @@ def cond_laplace_pois(u, v0, v_t, mu, model: ModelParams, h: float):
     never inverted.
     """
     log_x, log_phi_u, log_phi_k = _laplace_terms(u, v0, v_t, model, h)
-    shape = 0.5 * model.delta + 2.0 * np.asarray(mu, float)
+    shape = 0.5 * model.delta + 2.0 * check_array(ParameterError, "Poisson count", mu)
     out = np.exp(log_x + shape * (log_phi_u - log_phi_k))
     return out if out.ndim else float(out)
 

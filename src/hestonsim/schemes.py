@@ -41,7 +41,7 @@ from .distributions import (
     sample_std_gamma,
     sample_terminal_variance,
 )
-from .errors import ConfigurationError, DomainError, ParameterError, check_count
+from .errors import ConfigurationError, DomainError, ParameterError, check_array, check_count
 from .model import (
     ModelParams,
     SeriesCoeffs,
@@ -131,12 +131,12 @@ class StepPlan:
     model: ModelParams
     h: float
     cfg: SchemeConfig
-    coeffs: Optional[SeriesCoeffs] = None
     phi_h: Optional[float] = None
     #: Poisson rates and gamma scales of the first ``trunc_k`` series terms.
     lam_k: tuple[float, ...] = ()
     gam_k: tuple[float, ...] = ()
-    #: ``coeffs.tail(trunc_k)``: the moment factors of the series remainder.
+    #: ``series_coeffs(model, h).tail(trunc_k)``: the moment factors of the
+    #: series remainder, the full bundle at ``trunc_k = 0``.
     tail: Optional[SeriesCoeffs] = None
 
 
@@ -146,7 +146,7 @@ def step_plan(model: ModelParams, h: float, cfg: SchemeConfig) -> StepPlan:
         return StepPlan(model, h, cfg)
     c = series_coeffs(model, h)
     ks = np.arange(1, cfg.trunc_k + 1)
-    return StepPlan(model, h, cfg, c, phi(model.kappa, h, model.xi), tuple(c.lam(ks)),
+    return StepPlan(model, h, cfg, phi(model.kappa, h, model.xi), tuple(c.lam(ks)),
                     tuple(c.gam(ks)), c.tail(cfg.trunc_k))
 
 
@@ -198,7 +198,7 @@ def step_pois_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
     for lam, gam in zip(plan.lam_k, plan.gam_k):
         n_k = sample_poisson(vsum * lam, rng)
         iv += sample_std_gamma(n_k + shape0, rng) / gam
-    rem = iv_moments_truncated(plan.cfg.trunc_k, v, v_next, mu, model, h, plan.coeffs)
+    rem = iv_moments_truncated(0, v, v_next, mu, model, h, plan.tail)
     iv += _invgauss_from_moments(rem.mean, rem.variance, rng)
     return StepResult(v_next=v_next, iv=iv, mu=mu)
 
@@ -248,7 +248,7 @@ def step_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
 def step_ig(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Inverse Gaussian approximation with Bessel-ratio moments."""
     v_next, _ = sample_terminal_variance(v, plan.h, plan.model, rng)
-    mom = iv_moments_bessel(v, v_next, plan.model, plan.h, plan.coeffs)
+    mom = iv_moments_bessel(v, v_next, plan.model, plan.h, plan.tail)
     return StepResult(v_next=v_next, iv=_invgauss_from_moments(mom.mean, mom.variance, rng))
 
 
@@ -314,7 +314,7 @@ def step_pois_td(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """
     model, h = plan.model, plan.h
     v_next, mu = sample_terminal_variance(v, h, model, rng)
-    mom = iv_moments_pois(v, v_next, mu, model, h, plan.coeffs)
+    mom = iv_moments_pois(v, v_next, mu, model, h, plan.tail)
 
     mart_price = 0.0
     mart_retvar = 0.0
@@ -340,11 +340,10 @@ def _steps(plan: StepPlan, n_paths: int, rng: RngStream):
 
 def _variance_drift(v0, v_next, iv: np.ndarray, h: float, model: ModelParams):
     """(rho/xi)(V_h - V_0 + kappa(IV - theta h)): the log-spot move the variance path drives."""
-    if (iv < 0).any():
-        raise ParameterError("integrated variance must be nonnegative")
-    return (model.rho / model.xi) * (
-        np.asarray(v_next, float) - np.asarray(v0, float) + model.kappa * (iv - model.theta * h)
-    )
+    v0 = check_array(ParameterError, "v0", v0)
+    v_next = check_array(ParameterError, "v_next", v_next)
+    iv = check_array(ParameterError, "integrated variance", iv)
+    return (model.rho / model.xi) * (v_next - v0 + model.kappa * (iv - model.theta * h))
 
 
 def sample_log_return(v0, v_next, iv, h: float, model: ModelParams, z,

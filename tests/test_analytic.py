@@ -17,10 +17,19 @@ from hestonsim.analytic import (
     varswap_strike_discrete,
 )
 from hestonsim.errors import NumericalError, ParameterError
-from hestonsim.model import ModelParams, avg_variance_moments, phi, series_coeffs
+from hestonsim.model import (
+    ModelParams,
+    avg_variance_moments,
+    cond_laplace_bk,
+    cond_laplace_pois,
+    iv_moments_pois,
+    phi,
+    series_coeffs,
+    terminal_variance_moments,
+)
 from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
-from hestonsim.schemes import SchemeConfig, price_european_cmc
+from hestonsim.schemes import SchemeConfig, cond_forward, price_european_cmc, sample_log_return
 
 
 def test_charfn_normalization():
@@ -276,11 +285,39 @@ _NAN = float("nan")
         lambda m: varswap_strike_continuous(m, _NAN),
         lambda m: varswap_strike_discrete(m, _NAN, 0.25),
         lambda m: QuadratureSpec(epsabs=_NAN),
+        lambda m: iv_moments_pois(0.02, 0.02, _NAN, m, 1.0),
+        lambda m: cond_laplace_pois(_NAN, 0.02, 0.02, 1, m, 1.0),
+        lambda m: cond_forward(m.s0, 0.02, 0.02, _NAN, 1.0, m),
+        lambda m: sample_log_return(0.02, 0.02, _NAN, 1.0, m, 0.0),
+        lambda m: cond_forward(m.s0, 0.02, _NAN, 0.02, 1.0, m),
+        lambda m: terminal_variance_moments(np.inf, 1.0, m),
+        lambda m: iv_moments_pois(0.02, np.inf, 1, m, 1.0),
+        lambda m: cond_laplace_bk(0.5, -1.0, 0.02, m, 1.0),
     ],
     ids=["cmc-strike", "bs-sigma", "bs-forward", "bs-T", "series-h", "avg-moments-t",
          "phi-kappa", "phi-t", "charfn-T", "exact-T", "exact-strike", "varswap-cont-T",
-         "varswap-disc-T", "quadrature-eps"],
+         "varswap-disc-T", "quadrature-eps", "pois-moments-mu", "laplace-pois-u",
+         "forward-iv", "log-return-iv", "forward-v-next", "terminal-moments-v0-inf",
+         "pois-moments-v-t-inf", "laplace-bk-v0-negative"],
 )
 def test_nan_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call(CASE_PRESETS["III"].model)
+
+
+@pytest.mark.parametrize("case,T,strike", [("IV", 1.0, 1e20), ("III", 1.0, 1e308),
+                                           ("IV", 30.0, 1e9)])
+def test_fourier_price_outside_no_arbitrage_range_raises(case, T, strike):
+    # Far out of the money the price is the difference of two terms of about
+    # b/2, b = K e^{-rT} / (S e^{-qT}).  At 1e20 and 1e308 their rounding
+    # exceeds the spot (the returned prices were 6273.27 and inf); at Case IV,
+    # T = 30 and 1e9 the quadrature leaves a price of -7.2e-7, below zero by
+    # more than that rounding.
+    with pytest.raises(NumericalError):
+        price_european_exact(CASE_PRESETS[case].model, T, strike)
+
+
+def test_fourier_price_within_rounding_of_range_is_returned():
+    # -9.3e-8 is one rounding step of b/2 below zero: kept, not raised.
+    price = price_european_exact(CASE_PRESETS["III"].model, 1.0, 1e9)
+    assert price == pytest.approx(0.0, abs=2.2e-7)

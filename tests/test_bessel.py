@@ -143,7 +143,7 @@ def test_log_gamma_against_mpmath():
 
 @pytest.mark.parametrize("x", [-np.inf, np.nan, 0.0, -0.5, np.inf])
 def test_log_gamma_rejects_non_positive_and_non_finite(x):
-    with pytest.raises(ParameterError, match="finite positive"):
+    with pytest.raises(ParameterError, match="finite and positive"):
         log_gamma(x)
-    with pytest.raises(ParameterError, match="finite positive"):
+    with pytest.raises(ParameterError, match="finite and positive"):
         log_gamma(np.array([1.0, x, 3.0]))

@@ -215,8 +215,12 @@ def test_missing_config_file_is_runtime_error(capsys):
      ("run.scheme = pois-ge\nproduct.strike = 1O0", "product.strike"),
      ("run.scheme = pois-ge\nrun.paths = 1e5", "run.paths"),
      ("grid.xi = 0.5, x", "grid.xi"),
-     ("grid.kappa = ,", "grid.kappa")],
-    ids=["model", "maturity", "strike", "run-int", "grid", "grid-empty"],
+     ("grid.kappa = ,", "grid.kappa"),
+     ("product.maturity = inf", "product.maturity"),
+     ("product.maturity = nan", "product.maturity"),
+     ("product.strike = inf", "product.strike")],
+    ids=["model", "maturity", "strike", "run-int", "grid", "grid-empty", "maturity-inf",
+         "maturity-nan", "strike-inf"],
 )
 def test_malformed_config_value_is_runtime_error(tmp_path, capsys, extra, key):
     # A later line overrides an earlier one.
@@ -226,6 +230,15 @@ def test_malformed_config_value_is_runtime_error(tmp_path, capsys, extra, key):
                         "--paths", "100", "--reps", "1")
     assert code == 1
     assert err.startswith("error:") and str(cfg) in err and key in err
+
+
+@pytest.mark.parametrize("command", [("exact",), ("price", "--scheme", "pois-ge", "--paths", "100",
+                                                "--reps", "1")])
+def test_unpriceable_strike_is_runtime_error(capsys, command):
+    # The Fourier oracle cannot resolve this strike; price wrote a benchmark of inf.
+    code, out, err = _run(capsys, command[0], "--case", "III", "--strike", "1e308", *command[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "out of the money" in err
 
 
 def test_jobs_env_malformed_is_usage_error(monkeypatch, capsys):

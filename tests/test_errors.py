@@ -1,0 +1,83 @@
+import numpy as np
+import pytest
+
+from hestonsim.analytic import bs_call_undiscounted
+from hestonsim.distributions import sample_terminal_variance
+from hestonsim.errors import ConfigurationError, ParameterError, check_array
+from hestonsim.model import (
+    cond_laplace_bk,
+    cond_laplace_pois,
+    eta_moments,
+    iv_moments_bessel,
+    iv_moments_pois,
+    terminal_variance_moments,
+)
+from hestonsim.presets import CASE_PRESETS
+from hestonsim.rng import RngStream
+from hestonsim.schemes import cond_forward, sample_log_return
+
+
+def test_check_array_returns_float_array():
+    out = check_array(ParameterError, "x", [0, 1, 2])
+    assert out.dtype == float and out.tolist() == [0.0, 1.0, 2.0]
+    x = np.array([0.5, 2.0])
+    assert check_array(ParameterError, "x", x, positive=True) is x
+    assert check_array(ParameterError, "x", np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, -1e-300, [1.0, np.nan], [np.inf, 1.0]])
+def test_check_array_rejects_nonfinite_and_negative(x):
+    with pytest.raises(ConfigurationError, match="^x must be finite and nonnegative$"):
+        check_array(ConfigurationError, "x", x)
+
+
+def test_check_array_positive_rejects_zero():
+    assert check_array(ParameterError, "x", 0.0).shape == ()
+    with pytest.raises(ParameterError, match="^x must be finite and positive$"):
+        check_array(ParameterError, "x", [1.0, 0.0], positive=True)
+
+
+_M = CASE_PRESETS["III"].model
+
+
+def _pair(x):
+    return np.array([0.02, x])
+
+
+# Each array argument checked by check_array, with a value below its range.
+_SITES = {
+    "terminal-variance-v0": (lambda x: sample_terminal_variance(_pair(x), 1.0, _M, RngStream(1)),
+                             -1.0),
+    "terminal-moments-v0": (lambda x: terminal_variance_moments(_pair(x), 1.0, _M), -1.0),
+    "eta-v0": (lambda x: eta_moments(_pair(x), 0.02, _M, 1.0), -1.0),
+    "eta-v-t": (lambda x: eta_moments(0.02, _pair(x), _M, 1.0), -1.0),
+    "bessel-moments-v0": (lambda x: iv_moments_bessel(_pair(x), 0.02, _M, 1.0), -1.0),
+    "bessel-moments-v-t": (lambda x: iv_moments_bessel(0.02, _pair(x), _M, 1.0), -1.0),
+    "pois-moments-v0": (lambda x: iv_moments_pois(_pair(x), 0.02, 1, _M, 1.0), -1.0),
+    "pois-moments-v-t": (lambda x: iv_moments_pois(0.02, _pair(x), 1, _M, 1.0), -1.0),
+    "pois-moments-mu": (lambda x: iv_moments_pois(0.02, 0.02, _pair(x), _M, 1.0), -1.0),
+    "laplace-pois-u": (lambda x: cond_laplace_pois(_pair(x), 0.02, 0.02, 1, _M, 1.0), -1.0),
+    "laplace-pois-v0": (lambda x: cond_laplace_pois(0.5, _pair(x), 0.02, 1, _M, 1.0), -1.0),
+    "laplace-pois-v-t": (lambda x: cond_laplace_pois(0.5, 0.02, _pair(x), 1, _M, 1.0), -1.0),
+    "laplace-pois-mu": (lambda x: cond_laplace_pois(0.5, 0.02, 0.02, _pair(x), _M, 1.0), -1.0),
+    "laplace-bk-u": (lambda x: cond_laplace_bk(_pair(x), 0.02, 0.02, _M, 1.0), -1.0),
+    "laplace-bk-v0": (lambda x: cond_laplace_bk(0.5, _pair(x), 0.02, _M, 1.0), -1.0),
+    "laplace-bk-v-t": (lambda x: cond_laplace_bk(0.5, 0.02, _pair(x), _M, 1.0), -1.0),
+    "log-return-v0": (lambda x: sample_log_return(_pair(x), 0.02, 0.02, 1.0, _M, 0.0), -1.0),
+    "log-return-v-next": (lambda x: sample_log_return(0.02, _pair(x), 0.02, 1.0, _M, 0.0), -1.0),
+    "log-return-iv": (lambda x: sample_log_return(0.02, 0.02, _pair(x), 1.0, _M, 0.0), -1.0),
+    "forward-v0": (lambda x: cond_forward(_M.s0, _pair(x), 0.02, 0.02, 1.0, _M), -1.0),
+    "forward-v-next": (lambda x: cond_forward(_M.s0, 0.02, _pair(x), 0.02, 1.0, _M), -1.0),
+    "forward-iv": (lambda x: cond_forward(_M.s0, 0.02, 0.02, _pair(x), 1.0, _M), -1.0),
+    "bs-forward": (lambda x: bs_call_undiscounted(_pair(x), 0.2, 1.0, 100.0), 0.0),
+    "bs-sigma": (lambda x: bs_call_undiscounted(100.0, _pair(x), 1.0, 100.0), -0.1),
+    "bs-strike": (lambda x: bs_call_undiscounted(100.0, 0.2, 1.0, _pair(x)), 0.0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SITES))
+@pytest.mark.parametrize("bad", ["inf", "out-of-range"])
+def test_array_argument_rejects_inf_and_out_of_range(site, bad):
+    call, low = _SITES[site]
+    with pytest.raises(ParameterError, match="must be finite and"):
+        call(np.inf if bad == "inf" else low)

@@ -71,6 +71,8 @@ def _varswap_spec(**overrides):
         dict(n_jobs=1.5),
         dict(strike=float("nan")),
         dict(maturity=float("nan")),
+        dict(strike=float("inf")),
+        dict(maturity=float("inf")),
         dict(seed=1.7),
         dict(seed="3"),
         dict(seed=-1),

@@ -443,7 +443,7 @@ def test_qem_plan_skips_series_constants_at_large_kappa_h():
     # kappa*h/2 = 1000 overflows the series coefficients and phi; qem needs neither.
     m = ModelParams(s0=100, v0=0.04, kappa=2000.0, theta=0.04, xi=1.0, rho=-0.5)
     cfg = SchemeConfig("qem", martingale_mode="price")
-    assert step_plan(m, 1.0, cfg).coeffs is None
+    assert step_plan(m, 1.0, cfg).tail is None
     price, se = price_european_cmc(m, 1.0, 100.0, cfg, 1000, RngStream(40))
     assert np.isfinite(price) and np.isfinite(se)
 
