@@ -6,7 +6,6 @@ bias/standard-error/timing harness.
 """
 
 from .analytic import (
-    QuadratureSpec,
     bs_call_undiscounted,
     heston_charfn,
     heston_charfn_multifactor,
@@ -66,7 +65,6 @@ from .schemes import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "QuadratureSpec",
     "bs_call_undiscounted",
     "heston_charfn",
     "heston_charfn_multifactor",

@@ -13,8 +13,6 @@ in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NumericalError, ParameterError, check_array
@@ -42,21 +40,10 @@ _NDTR_P = (
 )
 # erfc(y) underflows to 0 well before this clamp, which keeps y*y and t finite.
 _NDTR_Y_MAX = 40.0
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Fourier inversion controls: two successive levels must agree within
-    max(epsabs, epsrel * |integral|), the integral in units of S e^{-qT}; ``limit``
-    caps the nodes, each evaluated at u and u - i, before NumericalError."""
-
-    epsabs: float = 1e-10
-    epsrel: float = 1e-10
-    limit: int = 10_000
-
-    def __post_init__(self):
-        if not (self.epsabs > 0 and self.epsrel > 0) or self.limit < 10:
-            raise ParameterError("quadrature tolerances must be positive, limit >= 10")
+# The Fourier price's one tolerance, on the integral in units of S e^{-qT}, and
+# its cap on quadrature nodes, each evaluated at u and u - i.
+_FOURIER_TOL = 1e-10
+_FOURIER_MAX_NODES = 10_000
 
 
 def _log_cf_vol_part(u, model: ModelParams, T: float):
@@ -102,14 +89,14 @@ def heston_charfn_multifactor(u, models: list[ModelParams], T: float):
     return out if out.ndim else complex(out)
 
 
-def price_european_exact(model: ModelParams, T: float, strike: float,
-                         quadrature: QuadratureSpec | None = None) -> float:
-    """European call price by Fourier inversion, accurate to ~1e-8."""
-    return price_european_exact_multifactor([model], T, strike, quadrature)
+def price_european_exact(model: ModelParams, T: float, strike: float) -> float:
+    """European call price by Fourier inversion, its integral within ``_FOURIER_TOL``
+    (1e-10) in units of S e^{-qT}.  NumericalError where far out of the money the
+    rounding exceeds that, or the price leaves the no-arbitrage range by twice it."""
+    return price_european_exact_multifactor([model], T, strike)
 
 
-def price_european_exact_multifactor(models: list[ModelParams], T: float, strike: float,
-                                     quadrature: QuadratureSpec | None = None) -> float:
+def price_european_exact_multifactor(models: list[ModelParams], T: float, strike: float) -> float:
     """European call under the multifactor model, via the product characteristic function.
 
     C / (S e^{-qT}) = (1 - b) / 2 + (1 / pi) int_0^inf Re[e^{-iuk} (phi(u - i) / phi(-i)
@@ -117,8 +104,9 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
     """
     if not (T > 0 and strike > 0):
         raise ParameterError("T and strike must be positive")
-    quad = quadrature if quadrature is not None else QuadratureSpec()
-    fwd_cf = heston_charfn_multifactor(-1j, models, T)
+    # For kappa < rho xi the little-trap g is 0/0 here; the NaN fails the check below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fwd_cf = heston_charfn_multifactor(-1j, models, T)
     # Written so that NaN fails; abs() of a complex NaN can raise OverflowError.
     if not abs(fwd_cf.imag) <= 1e-8 * abs(fwd_cf.real):
         raise NumericalError("characteristic function fails the forward identity")
@@ -127,10 +115,8 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
     spot = head.s0 * np.exp(-head.q * T)
     b = strike * np.exp(-head.r * T) / spot
     # Far out of the money both terms of the price are about b/2, so it carries
-    # a rounding error of about b eps spot; beyond spot, the largest call
-    # price, no digit of it is known.
-    rounding = b * np.finfo(float).eps
-    if not rounding < 1.0:
+    # a rounding error of about b eps spot, which must stay within the tolerance.
+    if not b * np.finfo(float).eps <= _FOURIER_TOL:
         raise NumericalError(f"strike {strike} is too far out of the money for Fourier inversion")
     # u in units of 1 / sd(ln S_T), the variance taken as its expected value.
     scale = 1.0 / np.sqrt(T * sum(varswap_strike_continuous(m, T) for m in models))
@@ -146,20 +132,20 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
     t = np.arange(_DE_T_MIN, _DE_T_MAX + 0.5 * _DE_STEP, _DE_STEP)
     g = weighted(t)
     # Keep one node past the last one above tolerance; the tail decays double-exponentially.
-    n = int(np.max(np.flatnonzero(np.abs(g) > 1e-2 * quad.epsabs), initial=0)) + 1
+    n = int(np.max(np.flatnonzero(np.abs(g) > 1e-2 * _FOURIER_TOL), initial=0)) + 1
     if n >= t.size:
         raise NumericalError("Fourier integrand has not decayed at the end of the node range")
     h, prev, total, nodes = _DE_STEP, np.inf, _DE_STEP * g[:n + 1].imag.sum(), t.size
     # Written so that a NaN sum keeps refining until the node limit.
-    while not abs(total - prev) <= max(quad.epsabs, quad.epsrel * abs(total)):
+    while not abs(total - prev) <= _FOURIER_TOL:
         h, n = 0.5 * h, 2 * n
         nodes += n // 2
-        if nodes > quad.limit:
-            raise NumericalError(f"Fourier quadrature did not converge within {quad.limit} nodes")
+        if nodes > _FOURIER_MAX_NODES:
+            raise NumericalError(f"Fourier quadrature did not converge within {_FOURIER_MAX_NODES} nodes")
         prev, total = total, 0.5 * total + h * weighted(t[0] + h * np.arange(1, n, 2)).imag.sum()
     price = spot * (0.5 * (1.0 - b) + total / np.pi)
     # The no-arbitrage range, widened by the rounding and the quadrature tolerance.
-    tol = spot * (rounding + quad.epsabs)
+    tol = 2.0 * _FOURIER_TOL * spot
     if not spot * max(1.0 - b, 0.0) - tol <= price <= spot + tol:
         raise NumericalError(f"Fourier price {price} lies outside the no-arbitrage range")
     return price

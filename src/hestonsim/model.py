@@ -278,16 +278,11 @@ def iv_moments_bessel(v0, v_t, model: ModelParams, h: float, coeffs: SeriesCoeff
     variant :func:`iv_moments_pois` avoids them.
     """
     c = coeffs if coeffs is not None else series_coeffs(model, h)
-    e_eta, var_eta = eta_moments(v0, v_t, model, h)  # checks the endpoints
-    vsum = np.add(v0, v_t, dtype=float)
-    half_delta = 0.5 * model.delta
-    mean = vsum * c.mean_x + (half_delta + 2.0 * e_eta) * c.mean_z
-    variance = (
-        vsum * c.var_x
-        + (half_delta + 2.0 * e_eta) * c.var_z
-        + var_eta * (2.0 * c.mean_z) ** 2
-    )
-    return IvMoments(mean, variance)
+    e_eta, var_eta = eta_moments(v0, v_t, model, h)
+    # Law of total variance over the count: the count-conditional moments at its
+    # mean, plus Var[eta] times the squared sensitivity 2 mean_z.
+    m = iv_moments_pois(v0, v_t, e_eta, model, h, c)
+    return IvMoments(m.mean, m.variance + var_eta * (2.0 * c.mean_z) ** 2)
 
 
 def iv_moments_pois(v0, v_t, mu, model: ModelParams, h: float, coeffs: SeriesCoeffs | None = None) -> IvMoments:

@@ -172,7 +172,7 @@ def _price_and_spot(model, T, strike, cfg, n_paths, rng):
     """Conditional MC price and spot reconstruction from the same paths."""
     v_end, iv, mart = simulate_terminal(model, T, cfg, n_paths, rng)
     fwd = cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
-    sigma = np.sqrt((1.0 - model.rho**2) * iv / T)
+    sigma = np.sqrt((1.0 - model.rho * model.rho) * iv / T)
     price = np.exp(-model.r * T) * bs_call_undiscounted(fwd, sigma, T, strike).mean()
     spot = np.exp((model.q - model.r) * T) * fwd.mean()
     return price, spot

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hestonsim import analytic
 from hestonsim.analytic import (
-    QuadratureSpec,
     _ndtr,
     bs_call_undiscounted,
     heston_charfn,
@@ -57,16 +57,7 @@ def test_exact_prices_reference(name):
     assert price == pytest.approx(preset.reference_price, abs=1e-6)
 
 
-def test_price_stable_under_tighter_quadrature():
-    preset = CASE_PRESETS["I"]
-    a = price_european_exact(preset.model, preset.maturity, preset.strike,
-                             QuadratureSpec())
-    b = price_european_exact(preset.model, preset.maturity, preset.strike,
-                             QuadratureSpec(epsabs=1e-12, epsrel=1e-12, limit=400))
-    assert a == pytest.approx(b, abs=1e-8)
-
-
-def _quad_reference_price(models, T, strike):
+def _quad_reference_price(models, T, strike, eps=1e-10):
     """Gil-Pelaez inversion with two scalar adaptive quad integrals."""
 
     def charfn(u):
@@ -83,10 +74,25 @@ def _quad_reference_price(models, T, strike):
     def integrand_p2(u):
         return (np.exp(-1j * u * k) * charfn(u) / (1j * u)).real
 
-    kw = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+    kw = dict(epsabs=eps, epsrel=eps, limit=200)
     p1 = 0.5 + quad(integrand_p1, 0.0, np.inf, **kw)[0] / np.pi
     p2 = 0.5 + quad(integrand_p2, 0.0, np.inf, **kw)[0] / np.pi
     return model.s0 * np.exp(-model.q * T) * p1 - strike * np.exp(-model.r * T) * p2
+
+
+def _random_cases(seed, n, width):
+    """n seeded random models, each with a maturity T and a strike whose
+    log-moneyness is uniform in +-width sqrt(T)."""
+    rs = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        m = ModelParams(s0=100.0, v0=rs.uniform(0.005, 0.5), kappa=rs.uniform(0.7, 8.0),
+                        theta=rs.uniform(0.005, 0.5), xi=rs.uniform(0.05, 2.0),
+                        rho=rs.uniform(-0.95, 0.3), r=rs.uniform(-0.01, 0.08),
+                        q=rs.uniform(0.0, 0.05))
+        T = float(rs.choice([0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0]))
+        cases.append(([m], T, 100.0 * np.exp(rs.uniform(-width, width) * np.sqrt(T))))
+    return cases
 
 
 def _oracle_cases(group):
@@ -100,16 +106,7 @@ def _oracle_cases(group):
                 for xi in (2.0, 1.0, 0.25, 0.1) for kappa in (4.0, 1.0, 0.1)
                 for x in (100.0, 110.0, 120.0)]
     if group == "random":
-        rs = np.random.default_rng(2024)
-        cases = []
-        for _ in range(30):
-            m = ModelParams(s0=100.0, v0=rs.uniform(0.005, 0.5), kappa=rs.uniform(0.7, 8.0),
-                            theta=rs.uniform(0.005, 0.5), xi=rs.uniform(0.05, 2.0),
-                            rho=rs.uniform(-0.95, 0.3), r=rs.uniform(-0.01, 0.08),
-                            q=rs.uniform(0.0, 0.05))
-            T = float(rs.choice([0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0]))
-            cases.append(([m], T, 100.0 * np.exp(rs.uniform(-0.5, 0.5) * np.sqrt(T))))
-        return cases
+        return _random_cases(2024, 30, 0.5)
     a = CASE_PRESETS["III"].model
     return [([a, replace(a, v0=0.09, kappa=1.5, theta=0.06, xi=0.8, rho=-0.3)], 2.0, 105.0)]
 
@@ -122,14 +119,26 @@ def test_price_matches_quad_reference(group):
     assert max(errs) < 1e-9
 
 
-def test_quadrature_node_limit_raises():
+def test_returned_prices_meet_the_tolerance_away_from_the_money():
+    # Every price the oracle returns, up to 1.5 sd out of or in the money,
+    # agrees with a quad reference run at 1e-13.
+    errs = []
+    for models, T, x in _random_cases(2025, 40, 1.5):
+        try:
+            price = price_european_exact_multifactor(models, T, x)
+        except NumericalError:
+            continue
+        errs.append(abs(price - _quad_reference_price(models, T, x, eps=1e-13)))
+    assert len(errs) > 30 and max(errs) < 5e-10
+
+
+def test_quadrature_node_limit_raises(monkeypatch):
+    monkeypatch.setattr(analytic, "_FOURIER_MAX_NODES", 10)
     preset = CASE_PRESETS["I"]
     with pytest.raises(NumericalError, match="did not converge within 10 nodes"):
-        price_european_exact(preset.model, preset.maturity, preset.strike,
-                             QuadratureSpec(limit=10))
+        price_european_exact(preset.model, preset.maturity, preset.strike)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_forward_identity_raises():
     # kappa < rho * xi puts 0/0 in the characteristic function at u = -i.
     m = ModelParams(s0=100, v0=0.9, kappa=0.05, theta=0.003, xi=0.6, rho=0.25)
@@ -284,7 +293,6 @@ _NAN = float("nan")
         lambda m: price_european_exact(m, 1.0, _NAN),
         lambda m: varswap_strike_continuous(m, _NAN),
         lambda m: varswap_strike_discrete(m, _NAN, 0.25),
-        lambda m: QuadratureSpec(epsabs=_NAN),
         lambda m: iv_moments_pois(0.02, 0.02, _NAN, m, 1.0),
         lambda m: cond_laplace_pois(_NAN, 0.02, 0.02, 1, m, 1.0),
         lambda m: cond_forward(m.s0, 0.02, 0.02, _NAN, 1.0, m),
@@ -296,7 +304,7 @@ _NAN = float("nan")
     ],
     ids=["cmc-strike", "bs-sigma", "bs-forward", "bs-T", "series-h", "avg-moments-t",
          "phi-kappa", "phi-t", "charfn-T", "exact-T", "exact-strike", "varswap-cont-T",
-         "varswap-disc-T", "quadrature-eps", "pois-moments-mu", "laplace-pois-u",
+         "varswap-disc-T", "pois-moments-mu", "laplace-pois-u",
          "forward-iv", "log-return-iv", "forward-v-next", "terminal-moments-v0-inf",
          "pois-moments-v-t-inf", "laplace-bk-v0-negative"],
 )
@@ -317,7 +325,14 @@ def test_fourier_price_outside_no_arbitrage_range_raises(case, T, strike):
         price_european_exact(CASE_PRESETS[case].model, T, strike)
 
 
-def test_fourier_price_within_rounding_of_range_is_returned():
-    # -9.3e-8 is one rounding step of b/2 below zero: kept, not raised.
-    price = price_european_exact(CASE_PRESETS["III"].model, 1.0, 1e9)
-    assert price == pytest.approx(0.0, abs=2.2e-7)
+@pytest.mark.parametrize("case,T,strike", [("III", 1.0, 1e9),
+                                           ("IV", 1.0, 1e16), ("IV", 1.0, 1e17),
+                                           ("II", 30.0, 1e16), ("II", 30.0, 1e17),
+                                           ("III", 30.0, 1e16), ("III", 30.0, 1e17)])
+def test_fourier_rounding_above_tolerance_raises(case, T, strike):
+    # The rounding of the two terms of about b/2, b eps S e^{-qT}, exceeds the
+    # oracle's tolerance.  The prices were -9.3e-8 (a negative call price), then
+    # 1.53, 24.50, 1.56, 18.75, 0.78 and 6.25, all inside the no-arbitrage range
+    # although the true prices are near 0.
+    with pytest.raises(NumericalError, match="out of the money"):
+        price_european_exact(CASE_PRESETS[case].model, T, strike)

@@ -232,13 +232,27 @@ def test_malformed_config_value_is_runtime_error(tmp_path, capsys, extra, key):
     assert err.startswith("error:") and str(cfg) in err and key in err
 
 
-@pytest.mark.parametrize("command", [("exact",), ("price", "--scheme", "pois-ge", "--paths", "100",
-                                                "--reps", "1")])
+@pytest.mark.parametrize("command", [("exact", "--strike", "1e308"),
+                                     ("price", "--strike", "1e308", "--scheme", "pois-ge",
+                                      "--paths", "100", "--reps", "1"),
+                                     ("exact", "--strike", "1e9")])
 def test_unpriceable_strike_is_runtime_error(capsys, command):
-    # The Fourier oracle cannot resolve this strike; price wrote a benchmark of inf.
-    code, out, err = _run(capsys, command[0], "--case", "III", "--strike", "1e308", *command[1:])
+    # The Fourier oracle cannot resolve these strikes: at 1e308 price wrote a
+    # benchmark of inf, and at 1e9 exact printed -0.00000009.
+    code, out, err = _run(capsys, command[0], "--case", "III", *command[1:])
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "out of the money" in err
+    assert err.startswith("error:") and "out of the money" in err and err.count("\n") == 1
+
+
+def test_failed_forward_identity_is_one_error_line(tmp_path, capsys):
+    # kappa < rho * xi puts 0/0 in the characteristic function at u = -i.
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text(CASE_III_CONFIG + "model.v0 = 0.9\nmodel.kappa = 0.05\nmodel.theta = 0.003\n"
+                   "model.xi = 0.6\nmodel.rho = 0.25\nmodel.r = 0\nproduct.maturity = 0.86\n"
+                   "product.strike = 91\n")
+    code, out, err = _run(capsys, "exact", "--params", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "error: characteristic function fails the forward identity\n"
 
 
 def test_jobs_env_malformed_is_usage_error(monkeypatch, capsys):
