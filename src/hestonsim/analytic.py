@@ -55,15 +55,18 @@ def _log_cf_vol_part(u, model: ModelParams, T: float):
     """
     kappa, theta, xi, rho, v0 = model.kappa, model.theta, model.xi, model.rho, model.v0
     beta = kappa - 1j * rho * xi * u
-    d = np.sqrt(beta * beta + xi * xi * (1j * u + u * u))
-    g = (beta - d) / (beta + d)
+    q = xi * xi * (1j * u + u * u)
+    d = np.sqrt(beta * beta + q)
+    # beta - d without the cancellation of the subtraction when xi is small.
+    bmd = -q / (beta + d)
+    g = bmd / (beta + d)
     # The branch keeps Re(d) >= 0, so exp(-dT) underflows harmlessly at
     # large |u| instead of overflowing.
     edt = np.exp(-d * T)
     log_ratio = np.log((1.0 - g * edt) / (1.0 - g))
-    return (kappa * theta / xi**2) * ((beta - d) * T - 2.0 * log_ratio) + (
+    return (kappa * theta / xi**2) * (bmd * T - 2.0 * log_ratio) + (
         v0 / xi**2
-    ) * (beta - d) * (1.0 - edt) / (1.0 - g * edt)
+    ) * bmd * (1.0 - edt) / (1.0 - g * edt)
 
 
 def heston_charfn(u, model: ModelParams, T: float):

@@ -6,8 +6,8 @@ the next variance, the integrated variance over the step, and any
 martingale-correction terms.  ``plan`` is the :class:`StepPlan` of the
 (model, step size, config), built once per simulation.
 
-* ``ge``       -- gamma-series expansion with a Bessel count and three
-                  moment-matched gamma remainders (exact, one step).
+* ``ge``       -- gamma-series expansion with a Bessel count and a two-part
+                  moment-matched gamma remainder (exact, one step).
 * ``pois_ge``  -- Poisson-conditioned gamma series with an inverse Gaussian
                   remainder (exact, one step; ``trunc_k = 0`` is the
                   Poisson-conditioned low-bias special case).
@@ -187,24 +187,31 @@ def _gamma_from_moments(mean, var, rng: RngStream):
     return out
 
 
+def _series_iv(vsum, shape0, plan: StepPlan, rng: RngStream):
+    """Sum of the first ``trunc_k`` series terms, Gamma(Poisson(vsum lam_k) + shape0) / gam_k."""
+    iv = np.zeros_like(vsum)
+    for lam, gam in zip(plan.lam_k, plan.gam_k):
+        n_k = sample_poisson(vsum * lam, rng)
+        iv += sample_std_gamma(n_k + shape0, rng) / gam
+    return iv
+
+
 def step_pois_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Poisson-conditioned series step with an inverse Gaussian remainder."""
     model, h = plan.model, plan.h
     v_next, mu = sample_terminal_variance(v, h, model, rng)
-
-    shape0 = 0.5 * model.delta + 2.0 * mu
-    vsum = v + v_next
-    iv = np.zeros_like(v)
-    for lam, gam in zip(plan.lam_k, plan.gam_k):
-        n_k = sample_poisson(vsum * lam, rng)
-        iv += sample_std_gamma(n_k + shape0, rng) / gam
+    iv = _series_iv(v + v_next, 0.5 * model.delta + 2.0 * mu, plan, rng)
     rem = iv_moments_truncated(0, v, v_next, mu, model, h, plan.tail)
     iv += _invgauss_from_moments(rem.mean, rem.variance, rng)
     return StepResult(v_next=v_next, iv=iv, mu=mu)
 
 
 def step_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
-    """Gamma-series step with a Bessel count and gamma-matched remainders.
+    """Gamma-series step with a Bessel count and a two-part gamma remainder.
+
+    :func:`step_pois_ge`'s series with the Bessel count eta in place of the
+    Poisson count (shape delta/2 + 2 eta); the remainder is gamma-matched in
+    two parts, one driven by the endpoints and one by that shape.
 
     At K = 0 the gamma-matched remainders stand in for the whole series, so
     long steps are biased: in acceptance criterion 4's layout (one step to
@@ -214,34 +221,14 @@ def step_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
     by 1.8-3.9% at K = 0 and by 0.3-0.8% at K = 1.
     """
     model, rest = plan.model, plan.tail
-    n = v.shape[0]
     v_next, _ = sample_terminal_variance(v, plan.h, model, rng)
     eta = sample_bessel_rv(model.nu, np.sqrt(v * v_next) * plan.phi_h, rng)
-
     vsum = v + v_next
-    half_delta = 0.5 * model.delta
-    iv = np.zeros_like(v)
-    for lam, gam in zip(plan.lam_k, plan.gam_k):
-        n_k = sample_poisson(vsum * lam, rng)
-        term = sample_std_gamma(n_k.astype(float), rng)
-        term += sample_std_gamma(half_delta, rng, size=n)
-        term += sample_std_gamma(2.0 * eta, rng)
-        iv += term / gam
-
-    # Endpoint-driven remainder.
+    shape0 = 0.5 * model.delta + 2.0 * eta
+    iv = _series_iv(vsum, shape0, plan, rng)
     iv += _gamma_from_moments(vsum * rest.mean_x, vsum * rest.var_x, rng)
-    # Fixed-shape remainder.
-    iv += _gamma_from_moments(
-        np.full(n, half_delta * rest.mean_z), np.full(n, half_delta * rest.var_z), rng
-    )
-    # Count-driven remainder: eta independent copies, each gamma-matched;
-    # their sum is a gamma with eta times the per-copy shape.
-    m2 = 2.0 * rest.mean_z
-    v2 = 2.0 * rest.var_z
-    if v2 > 0:
-        iv += (v2 / m2) * sample_std_gamma(eta * (m2 * m2 / v2), rng)
-    else:
-        iv += eta * m2
+    # Every shape unit adds an independent gamma at the common scale var_z / mean_z.
+    iv += _gamma_from_moments(shape0 * rest.mean_z, shape0 * rest.var_z, rng)
     return StepResult(v_next=v_next, iv=iv)
 
 

@@ -50,6 +50,31 @@ def test_charfn_bounded_for_real_u():
     assert np.all(np.abs(heston_charfn(us, m, 10.0)) <= 1.0 + 1e-12)
 
 
+def _mp_charfn(u, m, T):
+    """Little-trap Heston phi at 40 digits, beta - d formed by subtraction."""
+    with mpmath.workdps(40):
+        u = mpmath.mpf(u)
+        kappa, theta, xi, rho, v0 = map(mpmath.mpf, (m.kappa, m.theta, m.xi, m.rho, m.v0))
+        beta = kappa - 1j * rho * xi * u
+        d = mpmath.sqrt(beta**2 + xi**2 * (1j * u + u**2))
+        g = (beta - d) / (beta + d)
+        edt = mpmath.exp(-d * T)
+        log_ratio = mpmath.log((1 - g * edt) / (1 - g))
+        log_cf = (1j * u * (mpmath.mpf(m.r) - m.q) * T
+                  + kappa * theta / xi**2 * ((beta - d) * T - 2 * log_ratio)
+                  + v0 / xi**2 * (beta - d) * (1 - edt) / (1 - g * edt))
+        return complex(mpmath.exp(log_cf))
+
+
+def test_charfn_small_xi_matches_mpmath():
+    # kappa theta / xi^2 = 517 multiplies beta - d; formed by subtraction, it
+    # puts phi 6.7e-12 off here.
+    m = ModelParams(s0=100.0, v0=0.3, kappa=6.7, theta=0.4, xi=0.072, rho=-0.5, r=0.02)
+    us = np.linspace(0.01, 2.0, 40)
+    ref = np.array([_mp_charfn(u, m, 15.0) for u in us])
+    assert np.max(np.abs(heston_charfn(us, m, 15.0) / ref - 1.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("name", sorted(CASE_PRESETS))
 def test_exact_prices_reference(name):
     preset = CASE_PRESETS[name]

@@ -274,12 +274,12 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
-    "bench_opt1": "f6da2b3d8b6ee7d2588048f75762be91f8a23a65e7e24e9b2aa7d91772b5bd55",
+    "bench_opt1": "0b78a5079be2960f26f85899e70987d597da15dddad700034e9655d2a5ab972e",
     "bench_var3": "315964e30ce6744f0e0b34e3273c1f22a00a17922c3c4477431a58adaac2904a",
-    "bench_grid4": "a5f74f23d926222133a66ed53657a0f51cfcefddcc35422d25a8434db69bad12",
-    "price_flags": "7bafef728978643a0ec3a502a43761458e8cfdf042aec01d897221939ad6aa24",
-    "price_params": "b3bca45662585eb1ba5d1332a073f7cf925164931293b6e591e28331ec88e242",
-    "price_grid": "c447691b7240a815c7ad3e088f5ba13a1e495b09906b6452ff43258f366566a2",
+    "bench_grid4": "98ae6fc33f0278dc2d484e5ac95c561991d2f18be8154bb08fb7b9bb7a4e1e93",
+    "price_flags": "9686a7745303b59fafc65f7bf3bca997efe276ba6cc9c93b7b134807ce7614b8",
+    "price_params": "c3ca80ca6db153d501fa3457ec5ef4283025b77e638c4bc565c3a373b6d892be",
+    "price_grid": "94f451a153c707d2cc734cb36713c8a07f6708e98838981d746f1589c06f2e38",
     "varswap": "48a3035a27068a15cc4dc4eb97667a409059aa25cfac6254633961841c0ba758",
 }
 

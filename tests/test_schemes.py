@@ -254,6 +254,45 @@ def test_pois_ge_truncated_laplace_identity():
     assert abs(emp.mean() - ref) < 3 * se
 
 
+def _kernel_laplace(kind, u, plan, v0, v1, count):
+    """E[exp(-u IV)] of a series kernel's own law given the endpoints and the count."""
+    model, rest = plan.model, plan.tail
+    vsum = v0 + v1
+    shape0 = 0.5 * model.delta + 2.0 * count
+    out = 1.0
+    for lam, gam in zip(plan.lam_k, plan.gam_k):
+        ratio = gam / (gam + u)
+        out *= ratio**shape0 * np.exp(vsum * lam * (ratio - 1.0))
+    if kind == "ge":
+        for mean, var in ((vsum * rest.mean_x, vsum * rest.var_x),
+                          (shape0 * rest.mean_z, shape0 * rest.var_z)):
+            out *= (1.0 + u * var / mean) ** (-mean * mean / var)
+    else:
+        rem = iv_moments_truncated(0, v0, v1, count, model, plan.h, rest)
+        m, lam_ig = rem.mean, rem.mean**3 / rem.variance
+        out *= np.exp(lam_ig / m * (1.0 - np.sqrt(1.0 + 2.0 * m * m * u / lam_ig)))
+    return out
+
+
+@pytest.mark.parametrize("kind,trunc_k", [("ge", 0), ("ge", 1), ("ge", 4), ("pois_ge", 0),
+                                          ("pois_ge", 4)])
+def test_series_kernel_conditional_laplace(monkeypatch, kind, trunc_k):
+    # With the variance endpoint and the Poisson or Bessel count held fixed,
+    # the kernel's integrated variance has the closed-form Laplace transform
+    # of its series terms times that of its moment-matched remainder.
+    preset = CASE_PRESETS["I"]
+    model, v0, v1, count = preset.model, preset.model.v0, 0.03, 1
+    monkeypatch.setattr(schemes, "sample_terminal_variance",
+                        lambda v, h, m, rng: (np.full_like(v, v1), np.full(v.shape, count)))
+    monkeypatch.setattr(schemes, "sample_bessel_rv", lambda nu, z, rng: np.full(z.shape, count))
+    plan = step_plan(model, preset.maturity, SchemeConfig(kind, trunc_k))
+    n, u = 200_000, 0.855
+    step = {"ge": step_ge, "pois_ge": step_pois_ge}[kind]
+    emp = np.exp(-u * step(np.full(n, v0), plan, RngStream(35)).iv)
+    ref = _kernel_laplace(kind, u, plan, v0, v1, count)
+    assert abs(emp.mean() - ref) < 3 * emp.std() / np.sqrt(n)
+
+
 def test_ge_rejects_negative_remainder(monkeypatch):
     # With the endpoint mean factor zeroed, the removed terms exceed it by far
     # more than rounding, so the gamma-matched remainder must not be clamped away.
@@ -468,7 +507,7 @@ def test_standard_error_does_not_cancel():
     "driver,cfg,expected",
     [
         ("call", SchemeConfig("pois_ge", trunc_k=2), (6.759773912647262, 0.03618273814659747)),
-        ("call", SchemeConfig("ge", trunc_k=2), (6.785236268864786, 0.036071229140363356)),
+        ("call", SchemeConfig("ge", trunc_k=2), (6.800811585580038, 0.03599071460085846)),
         ("call", SchemeConfig("ig", n_steps=2), (6.764422502014079, 0.03615946325252426)),
         ("call", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
          (6.800240468912559, 0.03758645367255599)),
