@@ -12,20 +12,23 @@ positive, so the series branch carries no cancellation and is accurate to
 near machine precision for any admissible order.
 
 One series pass, in units of its peak term, serves three callers.  Its sum
-and the log of the peak term (through :func:`log_gamma`) give the log value.
-Its reciprocal is the Bessel count's mass at its mode, which the count
-sampler uses.  And ``I_{nu+1}(z) / I_nu(z)`` needs one more accumulator:
-term k of the I_{nu+1} series is term k of the I_nu series times
-(z/2) / (k + nu + 1).  Neither the mass nor the ratio needs the peak term
-itself, so neither evaluates log Gamma.  In the Hankel region the ratio is
-the quotient of the two asymptotic sums.
+and the log of the peak term (``math.lgamma``) give the log value.  Its
+reciprocal is the Bessel count's mode mass, which the count sampler takes
+from this pass at every argument.  And ``I_{nu+1}(z) / I_nu(z)`` needs one
+more accumulator: term k of the I_{nu+1} series is term k of the I_nu series
+times (z/2) / (k + nu + 1).  Neither the mass nor the ratio needs the peak
+term, so neither evaluates log Gamma; in the Hankel region the ratio is the
+quotient of the two asymptotic sums.  A pass that would need more than
+``_MAX_TERMS`` terms (z beyond ~6.5e8) raises NumericalError.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ParameterError, check_array
+from .errors import NumericalError, ParameterError, check_array
 
 # Crossover to the asymptotic branch.  The scaled asymptotic series reaches
 # machine precision before diverging once z is comfortably larger than nu^2;
@@ -33,31 +36,12 @@ from .errors import ParameterError, check_array
 _ASYM_Z_MIN = 50.0
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 100_000
-# Stirling's series for ln Gamma: B_2k / (2k (2k - 1)) for k = 7 down to 1.  At
-# x >= 16 the next term is below 3e-20.
-_STIRLING = (1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0,
-             1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
-_STIRLING_X_MIN = 16.0
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def log_gamma(x) -> np.ndarray:
-    """``ln Gamma(x)`` elementwise for finite x > 0, to about 1e-14.
-
-    Stirling's series at ``x + n >= 16``, less ``ln(x (x + 1) ... (x + n - 1))``.
-    """
+    """``ln Gamma(x)`` elementwise for finite x > 0."""
     x = check_array(ParameterError, "log_gamma argument", x, positive=True)
-    shift = np.ones_like(x)
-    while (small := x < _STIRLING_X_MIN).any():
-        shift = np.where(small, shift * x, shift)
-        x = np.where(small, x + 1.0, x)
-    r = 1.0 / x
-    r2 = r * r
-    tail = np.full_like(x, _STIRLING[0])
-    for c in _STIRLING[1:]:
-        tail *= r2
-        tail += c
-    return (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + tail * r - np.log(shift)
+    return np.vectorize(math.lgamma, otypes=[float])(x)
 
 
 def _check_args(nu: float, z) -> np.ndarray:
@@ -72,20 +56,16 @@ def _hankel_region(nu: float, z: np.ndarray) -> np.ndarray:
     return (z >= _ASYM_Z_MIN) & (nu * nu <= z)
 
 
-def _peak_index(nu: float, z: np.ndarray) -> np.ndarray:
-    """Index of the largest term of the I_nu power series at z > 0, as floats."""
-    return np.maximum(np.floor(0.5 * (np.sqrt(nu * nu + z * z) - nu)), 0.0)
-
-
 def _peak_sums(nu: float, z: np.ndarray, ratio: bool = False):
     """Power series of I_nu at z > 0, summed outward from its peak term.
 
-    Returns ``(k*, total, shifted)``: the peak index, the series sum in units
-    of its peak term, and, if ``ratio``, the I_{nu+1} series over z/2 in the
-    same units (else None).  So ``1 / total`` is the Bessel count's mass at
-    its mode and ``(z/2) shifted / total`` is ``I_{nu+1} / I_nu``.
+    Returns ``(k*, total, shifted)``: the peak index (the count's mode) as
+    floats, the series sum in units of its peak term, and, if ``ratio``, the
+    I_{nu+1} series over z/2 in the same units (else None).  So ``1 / total``
+    is the Bessel count's mass at its mode and ``(z/2) shifted / total`` is
+    ``I_{nu+1} / I_nu``.  Raises NumericalError past ``_MAX_TERMS`` terms.
     """
-    kstar = _peak_index(nu, z)
+    kstar = np.maximum(np.floor(0.5 * (np.sqrt(nu * nu + z * z) - nu)), 0.0)
     total = np.ones_like(z)
     h2 = np.exp(2.0 * np.log(0.5 * z))
     # shifted sums term_k / (k + nu + 1).  Its term k - 1 is term_k * k / h2;
@@ -105,6 +85,8 @@ def _peak_sums(nu: float, z: np.ndarray, ratio: bool = False):
         k += 1.0
         if (term <= _SERIES_RTOL * total).all():
             break
+    else:
+        raise NumericalError(f"Bessel series did not converge in {_MAX_TERMS} terms")
 
     # Downward from the peak (skipped for elements already at k = 0).
     term = np.ones_like(z)

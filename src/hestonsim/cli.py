@@ -16,9 +16,9 @@ bench
     vol-of-vol x mean-reversion sweep).
 
 Parameter files are flat ``key = value`` text with ``model.*``,
-``product.*``, ``run.*``, and optional ``grid.*`` keys; rates are decimals
-(``model.r = 0.0319`` means 3.19%).  Exit status is 0 on success, 1 on
-runtime errors, and 2 on usage errors.
+``product.*``, ``run.*``, and optional ``grid.*`` keys, and an unknown key is
+an error; rates are decimals (``model.r = 0.0319`` means 3.19%).  Exit status
+is 0 on success, 1 on runtime errors, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ _VAR_TABLES = {"var3": "III", "var4": "IV"}
 
 #: Martingale correction of each time-discretization kind in a variance swap.
 _VARSWAP_MODES = {"qem": "price", "pois_td": "return_variance"}
+
+_MODEL_KEYS = ("s0", "v0", "kappa", "theta", "xi", "rho", "r", "q")
+#: Every key a parameter file may set, whichever subcommand reads it.
+_CONFIG_KEYS = frozenset(f"{group}.{name}" for group, names in (
+    ("model", _MODEL_KEYS), ("product", ("maturity", "strike")),
+    ("run", ("scheme", "trunc_k", "steps", "paths", "reps", "seed", "jobs")),
+    ("grid", ("xi", "kappa"))) for name in names)
 
 
 def _call_config(kind: str, trunc_k: int, n_steps: int) -> SchemeConfig:
@@ -93,7 +100,7 @@ def _spec(args, values: dict[str, str], label: str, model: ModelParams, maturity
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; '#' starts a comment."""
+    """Read a flat ``key = value`` config file; '#' starts a comment.  Unknown keys are refused."""
     values: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -103,8 +110,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in _CONFIG_KEYS:
+                    raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -121,7 +130,7 @@ def _convert(path: str, key: str, raw, kind=float):
 def model_from_config(values: dict[str, str], path: str) -> ModelParams:
     """Build model parameters from the ``model.*`` keys of config file ``path``."""
     kwargs = {}
-    for name in ("s0", "v0", "kappa", "theta", "xi", "rho", "r", "q"):
+    for name in _MODEL_KEYS:
         key = f"model.{name}"
         if key in values:
             kwargs[name] = _convert(path, key, values[key])

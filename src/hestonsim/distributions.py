@@ -14,14 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bessel import (
-    _check_args,
-    _hankel_region,
-    _peak_index,
-    _peak_sums,
-    log_bessel_iv_scaled,
-    log_gamma,
-)
+from .bessel import _check_args, _peak_sums, log_bessel_iv_scaled, log_gamma
 from .errors import NumericalError, ParameterError, check_array
 from .model import ModelParams, phi
 from .rng import RngStream
@@ -79,7 +72,10 @@ def sample_terminal_variance(v0, h: float, model: ModelParams, rng: RngStream):
 
 
 def bessel_rv_logpmf(nu: float, z, j):
-    """Log probability mass of the Bessel count at integer(s) j; -inf for j < 0."""
+    """Log probability mass of the Bessel count at integer(s) j; -inf for j < 0.
+
+    A reference for tests: :func:`sample_bessel_rv` does not call it.
+    """
     z = np.asarray(z, dtype=float)
     j = np.asarray(j, dtype=float)
     # log_gamma takes positive arguments only; the clipped entries are replaced below.
@@ -99,10 +95,9 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
 
     The mode j* ~ (sqrt(nu^2 + z^2) - nu)/2 is the peak index of the I_nu
     power series, so its mass is 1 / (series sum in units of its peak term),
-    from one peak-centred pass; where ``log_bessel_iv_scaled`` takes its
-    Hankel branch, the mass comes from ``bessel_rv_logpmf``.  Probability is
-    then accumulated outward from the mode by the two-term ratio recursion,
-    over the draws whose uniform is not yet covered, until each is.
+    from one peak-centred pass at every z.  Probability is then accumulated
+    outward from the mode by the two-term ratio recursion, over the draws
+    whose uniform is not yet covered, until each is.
     BES(nu, 0) is a point mass at 0.
     """
     z = _check_args(nu, z)
@@ -117,13 +112,8 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
         z = np.where(zero, 1.0, z)
 
     u = rng.gen.uniform(size=z.size)
-    result = _peak_index(nu, z)
-    p_mode = np.empty_like(z)
-    hankel = _hankel_region(nu, z)
-    if hankel.any():
-        p_mode[hankel] = np.exp(bessel_rv_logpmf(nu, z[hankel], result[hankel]))
-    if not hankel.all():
-        p_mode[~hankel] = 1.0 / _peak_sums(nu, z[~hankel])[1]
+    result, total, _ = _peak_sums(nu, z)
+    p_mode = 1.0 / total
 
     # Outward search over the draws not covered at the mode: ``live`` indexes
     # them, and the state arrays hold one entry per live draw.

@@ -3,14 +3,18 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from hestonsim import bessel
 from hestonsim.bessel import (
     _log_ive_series,
     _log_ive_asymptotic,
+    _peak_sums,
     bessel_ratio,
     log_bessel_iv_scaled,
     log_gamma,
 )
-from hestonsim.errors import ParameterError
+from hestonsim.distributions import sample_bessel_rv
+from hestonsim.errors import NumericalError, ParameterError
+from hestonsim.rng import RngStream
 
 
 def _iv(nu, z):
@@ -89,6 +93,33 @@ def test_ratio_against_mpmath(nu):
     np.testing.assert_allclose(bessel_ratio(nu, zs), ref, rtol=1e-13)
 
 
+@pytest.mark.parametrize("nu,z", [(0.634, 1e4), (0.634, 1e6)])
+def test_mode_mass_against_mpmath(nu, z):
+    # The count sampler takes its mode mass 1 / total from the series pass at
+    # every argument, far inside the Hankel region too.
+    kstar, total, _ = _peak_sums(nu, np.array([z]))
+    k = int(kstar[0])
+    with mpmath.workdps(40):
+        # nu as an mpf: 2k + nu in doubles would be off by 1e-10 at k = 5e5.
+        m, h = mpmath.mpf(nu), mpmath.mpf(z) / 2
+        ref = float(h ** (2 * k + m) / (mpmath.factorial(k) * mpmath.gamma(k + m + 1)
+                                        * mpmath.besseli(m, z)))
+    np.testing.assert_allclose(1.0 / total[0], ref, rtol=1e-13)
+
+
+def test_series_raises_at_its_term_cap(monkeypatch):
+    # At nu = 1000, z = 9e5 the upward pass needs 3,845 terms; a cap of 1000
+    # must raise rather than return a truncated sum.
+    monkeypatch.setattr(bessel, "_MAX_TERMS", 1000)
+    nu, z = 1000.0, 9e5
+    with pytest.raises(NumericalError, match="did not converge"):
+        log_bessel_iv_scaled(nu, z)
+    with pytest.raises(NumericalError, match="did not converge"):
+        bessel_ratio(nu, z)
+    with pytest.raises(NumericalError, match="did not converge"):
+        sample_bessel_rv(nu, z, RngStream(1), size=10)
+
+
 def test_vectorized_argument():
     zs = np.array([0.0, 0.3, 5.0, 75.0, 900.0])
     out = log_bessel_iv_scaled(1.2, zs)
@@ -138,7 +169,7 @@ def test_log_gamma_against_mpmath():
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.loggamma(mpmath.mpf(v))) for v in x])
     err = np.abs(log_gamma(x) - ref)
-    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("x", [-np.inf, np.nan, 0.0, -0.5, np.inf])

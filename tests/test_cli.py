@@ -202,6 +202,17 @@ def test_parse_config_rejects_malformed_line(tmp_path):
         parse_config_file(str(cfg))
 
 
+def test_misspelled_config_key_is_runtime_error(tmp_path, capsys):
+    # Ignored, these would leave pois_ge at the default path count unnoticed.
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(CASE_III_CONFIG + "run.shceme = ge\nrun.path = 7\n")
+    code, out, err = _run(capsys, "price", "--params", str(cfg), "--scheme", "pois-ge",
+                          "--paths", "100", "--reps", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cfg) in err and "run.shceme" in err
+
+
 def test_missing_config_file_is_runtime_error(capsys):
     code, _, err = _run(capsys, "exact", "--params", "/nonexistent/file.cfg")
     assert code == 1
