@@ -30,10 +30,10 @@ from dataclasses import replace
 
 from .errors import ConfigurationError, HestonSimError
 from .analytic import price_european_exact
-from .harness import ExperimentSpec, emit_table, run_experiment
+from .harness import BENCHMARK_OF, ExperimentSpec, emit_table, run_experiment
 from .model import ModelParams
 from .presets import CASE_PRESETS, get_case
-from .schemes import SCHEME_FLAGS, TIME_DISCRETIZATION_KINDS, SchemeConfig
+from .schemes import CORRECTIONS, SCHEME_FLAGS, SchemeConfig
 
 #: Per-case step counts of the time-discretization rows in the option tables.
 _TD_STEPS = {"I": (20, 40, 80), "II": (30, 60, 120), "III": (2, 4, 8), "IV": (2, 4, 8)}
@@ -48,9 +48,6 @@ _GRID_STRIKES = (100.0, 110.0, 120.0)
 _OPT_TABLES = {"opt1": "I", "opt2": "II", "opt3": "III", "opt4": "IV"}
 _VAR_TABLES = {"var3": "III", "var4": "IV"}
 
-#: Martingale correction of each time-discretization kind in a variance swap.
-_VARSWAP_MODES = {"qem": "price", "pois_td": "return_variance"}
-
 _MODEL_KEYS = ("s0", "v0", "kappa", "theta", "xi", "rho", "r", "q")
 #: Every key a parameter file may set, whichever subcommand reads it.
 _CONFIG_KEYS = frozenset(f"{group}.{name}" for group, names in (
@@ -60,13 +57,13 @@ _CONFIG_KEYS = frozenset(f"{group}.{name}" for group, names in (
 
 
 def _call_config(kind: str, trunc_k: int, n_steps: int) -> SchemeConfig:
-    """Call-pricing config; the time-discretization schemes correct the price."""
-    mode = "price" if kind in TIME_DISCRETIZATION_KINDS else "none"
+    """Call-pricing config with the kind's call correction, if it has one."""
+    mode = CORRECTIONS.get(kind, {}).get("call", "none")
     return SchemeConfig(kind, trunc_k=trunc_k, n_steps=n_steps, martingale_mode=mode)
 
 
 def _varswap_config(kind: str, n_periods: int) -> SchemeConfig:
-    return SchemeConfig(kind, n_steps=n_periods, martingale_mode=_VARSWAP_MODES[kind])
+    return SchemeConfig(kind, n_steps=n_periods, martingale_mode=CORRECTIONS[kind]["varswap"])
 
 
 _GRID_CONFIGS = tuple(_call_config(kind, k, n) for kind, k, n in (
@@ -82,19 +79,19 @@ def _spec(args, values: dict[str, str], label: str, model: ModelParams, maturity
     Without a period count it prices a call at ``strike`` against the Fourier
     oracle; with one it prices a variance swap against its closed form.
     """
-    call = n_periods is None
+    product = "european_call" if n_periods is None else "variance_swap"
     return ExperimentSpec(
         case_label=label,
         model=model,
         maturity=maturity,
-        product="european_call" if call else "variance_swap",
+        product=product,
         configs=tuple(configs),
         n_paths=_setting(args, values, "paths"),
         n_reps=_setting(args, values, "reps"),
         seed=_setting(args, values, "seed"),
         strike=strike,
         n_periods=n_periods,
-        benchmark="fourier" if call else "varswap_closed_form",
+        benchmark=BENCHMARK_OF[product],
         n_jobs=_setting(args, values, "jobs"),
     )
 
@@ -242,15 +239,14 @@ def _cmd_bench(args) -> int:
             + [_call_config("pois_ge", k, 1) for k in _GE_LEVELS]
             + [_call_config("ig", 0, n) for n in _IG_STEPS]
             + [_call_config("pois_ge", 0, n) for n in _IG_STEPS]
-            + [_call_config(kind, 0, n) for kind in TIME_DISCRETIZATION_KINDS
-               for n in _TD_STEPS[case.name]]
+            + [_call_config(kind, 0, n) for kind in CORRECTIONS for n in _TD_STEPS[case.name]]
         )
         specs = [_spec(args, {}, case.name, case.model, case.maturity, configs,
                        strike=case.strike, n_periods=None)]
     elif args.table in _VAR_TABLES:
         case = get_case(_VAR_TABLES[args.table])
         specs = [_spec(args, {}, case.name, case.model, case.maturity,
-                       [_varswap_config(kind, n) for kind in _VARSWAP_MODES],
+                       [_varswap_config(kind, n) for kind in CORRECTIONS],
                        strike=None, n_periods=n)
                  for n in _VARSWAP_PERIODS]
     else:
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("varswap", help="variance-swap fair strike")
     _add_case_args(p)
     p.add_argument("--scheme", required=True,
-                   choices=[flag for flag, kind in SCHEME_FLAGS.items() if kind in _VARSWAP_MODES])
+                   choices=[flag for flag, kind in SCHEME_FLAGS.items() if kind in CORRECTIONS])
     p.add_argument("--periods", type=int, required=True, help="monitoring periods N")
     _add_run_args(p)
     p.set_defaults(func=_cmd_varswap)

@@ -23,7 +23,7 @@ from .rng import RngStream
 _MAX_POISSON_RATE = 2.0**62
 
 
-def sample_poisson(rate, rng: RngStream, size=None):
+def sample_poisson(rate, rng: RngStream):
     """Draw Poisson counts with the given rate (scalar or array)."""
     rate = check_array(ParameterError, "Poisson rate", rate)
     if rate.size and rate.max() >= _MAX_POISSON_RATE:
@@ -31,10 +31,10 @@ def sample_poisson(rate, rng: RngStream, size=None):
             "Poisson rate too large to sample as an integer count; "
             "use a larger time step or fewer paths per call"
         )
-    return rng.gen.poisson(rate, size=size)
+    return rng.gen.poisson(rate)
 
 
-def sample_std_gamma(shape, rng: RngStream, size=None):
+def sample_std_gamma(shape, rng: RngStream):
     """Draw unit-scale gamma variates; any shape > 0 is admissible.
 
     Shapes of exactly zero are allowed elementwise in array calls and yield
@@ -43,14 +43,14 @@ def sample_std_gamma(shape, rng: RngStream, size=None):
     shape = check_array(ParameterError, "gamma shape", shape)
     if shape.ndim == 0 and shape == 0:
         raise ParameterError("gamma shape must be positive")
-    return rng.gen.standard_gamma(shape, size=size)
+    return rng.gen.standard_gamma(shape)
 
 
-def sample_invgauss(mu, lam, rng: RngStream, size=None):
+def sample_invgauss(mu, lam, rng: RngStream):
     """Draw inverse Gaussian variates with mean mu and variance mu^3/lam."""
     mu = check_array(ParameterError, "inverse Gaussian mean", mu, positive=True)
     lam = check_array(ParameterError, "inverse Gaussian shape", lam, positive=True)
-    return rng.gen.wald(mu, lam, size=size)
+    return rng.gen.wald(mu, lam)
 
 
 def sample_terminal_variance(v0, h: float, model: ModelParams, rng: RngStream):
@@ -90,8 +90,8 @@ def bessel_rv_logpmf(nu: float, z, j):
     return np.where(j < 0.0, -np.inf, out)
 
 
-def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
-    """Draw Bessel counts BES(nu, z), vectorized over z >= 0.
+def sample_bessel_rv(nu: float, z, rng: RngStream):
+    """Draw one Bessel count BES(nu, z) per entry of the 1-D array z >= 0, as int64.
 
     The mode j* ~ (sqrt(nu^2 + z^2) - nu)/2 is the peak index of the I_nu
     power series, so its mass is 1 / (series sum in units of its peak term),
@@ -100,12 +100,7 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
     whose uniform is not yet covered, until each is.
     BES(nu, 0) is a point mass at 0.
     """
-    z = _check_args(nu, z)
-    scalar = z.ndim == 0 and size is None
-    if size is not None:
-        z = np.broadcast_to(z, (size,) if np.isscalar(size) else size).astype(float)
-    shape = z.shape or (1,)
-    z = z.ravel()
+    z = np.atleast_1d(_check_args(nu, z))
     zero = z == 0.0
     if zero.any():
         # Search at a placeholder argument; the result is overwritten below.
@@ -147,5 +142,4 @@ def sample_bessel_rv(nu: float, z, rng: RngStream, size=None):
             a[keep] for a in (live, u, cum, h2, p_up, j_up, p_dn, j_dn))
     else:
         raise NumericalError("Bessel count sampling failed to cover the uniform draw")
-    out = np.where(zero, 0, result).astype(np.int64).reshape(shape)
-    return int(out[0]) if scalar else out
+    return np.where(zero, 0, result).astype(np.int64)

@@ -31,8 +31,8 @@ from .schemes import (
     varswap_fair_strike_mc,
 )
 
-PRODUCTS = ("european_call", "variance_swap")
-BENCHMARKS = ("fourier", "varswap_closed_form", "none")
+#: The closed-form benchmark of each product; ``"none"`` runs without one.
+BENCHMARK_OF = {"european_call": "fourier", "variance_swap": "varswap_closed_form"}
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,11 @@ class ExperimentSpec:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if self.product not in PRODUCTS:
+        if self.product not in BENCHMARK_OF:
             raise ConfigurationError(f"unknown product {self.product!r}")
-        if self.benchmark not in BENCHMARKS:
-            raise ConfigurationError(f"unknown benchmark source {self.benchmark!r}")
+        if self.benchmark not in ("none", BENCHMARK_OF[self.product]):
+            raise ConfigurationError(
+                f"benchmark {self.benchmark!r} does not price a {self.product}")
         for count in (self.n_paths, self.n_reps):
             check_count(ConfigurationError, "n_paths and n_reps", count, 1)
         # Written so that NaN fails them.
@@ -69,15 +70,11 @@ class ExperimentSpec:
         if self.product == "european_call":
             if self.strike is None or not 0 < self.strike < np.inf:
                 raise ConfigurationError("european_call requires a finite positive strike")
-            if self.benchmark == "varswap_closed_form":
-                raise ConfigurationError("variance-swap benchmark does not price calls")
             if self.n_periods is not None:
                 raise ConfigurationError("n_periods applies only to variance swaps")
             for cfg in self.configs:
                 check_call_config(cfg)
         else:
-            if self.benchmark == "fourier":
-                raise ConfigurationError("Fourier benchmark does not price variance swaps")
             for cfg in self.configs:
                 check_varswap_config(cfg, self.n_periods)
 

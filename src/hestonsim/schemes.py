@@ -58,10 +58,12 @@ from .rng import RngStream
 SCHEME_KINDS = ("ge", "pois_ge", "ig", "qem", "pois_td")
 #: Kinds whose truncation level ``trunc_k`` is meaningful.
 SERIES_KINDS = ("ge", "pois_ge")
-TIME_DISCRETIZATION_KINDS = ("qem", "pois_td")
+#: Martingale correction of each time-discretization kind, per product: the
+#: only ``martingale_mode`` values besides ``"none"`` that a kind accepts.
+CORRECTIONS = {"qem": {"call": "price", "varswap": "price"},
+               "pois_td": {"call": "price", "varswap": "return_variance"}}
 #: Command-line spelling of each kind: ``pois-ge`` selects ``pois_ge``.
 SCHEME_FLAGS = {kind.replace("_", "-"): kind for kind in SCHEME_KINDS}
-MARTINGALE_MODES = ("none", "price", "return_variance")
 
 #: Paths simulated per random substream; fixed so that estimates are
 #: invariant to how batches are distributed over threads.
@@ -88,14 +90,9 @@ class SchemeConfig:
         if self.trunc_k and self.kind not in SERIES_KINDS:
             raise ConfigurationError(f"trunc_k applies only to series schemes, not {self.kind!r}")
         check_count(ConfigurationError, "n_steps", self.n_steps, 1)
-        if self.martingale_mode not in MARTINGALE_MODES:
-            raise ConfigurationError(f"unknown martingale mode {self.martingale_mode!r}")
-        if self.martingale_mode != "none" and self.kind not in TIME_DISCRETIZATION_KINDS:
+        if self.martingale_mode not in ("none", *CORRECTIONS.get(self.kind, {}).values()):
             raise ConfigurationError(
-                "martingale corrections apply only to time-discretization schemes"
-            )
-        if self.kind == "qem" and self.martingale_mode == "return_variance":
-            raise ConfigurationError("qem has no return-variance correction")
+                f"{self.kind} has no martingale correction {self.martingale_mode!r}")
 
     @property
     def label(self) -> str:
@@ -104,15 +101,15 @@ class SchemeConfig:
 
 
 def check_call_config(cfg: SchemeConfig) -> None:
-    """Terminal states for calls carry no correction of the squared log return."""
-    if cfg.martingale_mode == "return_variance":
+    """A call takes only its kind's call correction: it has no squared log return to correct."""
+    if cfg.martingale_mode not in ("none", CORRECTIONS.get(cfg.kind, {}).get("call")):
         raise ConfigurationError("the return-variance correction applies only to variance swaps")
 
 
 def check_varswap_config(cfg: SchemeConfig, n_periods: int) -> None:
     """Variance swaps are monitored on the simulation grid of a time-discretization scheme."""
     check_count(ConfigurationError, "n_periods", n_periods, 1)
-    if cfg.kind not in TIME_DISCRETIZATION_KINDS:
+    if cfg.kind not in CORRECTIONS:
         raise ConfigurationError(
             f"variance swaps require a time-discretization scheme, got {cfg.kind!r}"
         )
@@ -156,7 +153,6 @@ class StepResult:
 
     v_next: np.ndarray
     iv: np.ndarray
-    mu: Optional[np.ndarray] = None
     mart_price: np.ndarray | float = 0.0
     mart_retvar: np.ndarray | float = 0.0
 
@@ -203,7 +199,7 @@ def step_pois_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
     iv = _series_iv(v + v_next, 0.5 * model.delta + 2.0 * mu, plan, rng)
     rem = iv_moments_truncated(0, v, v_next, mu, model, h, plan.tail)
     iv += _invgauss_from_moments(rem.mean, rem.variance, rng)
-    return StepResult(v_next=v_next, iv=iv, mu=mu)
+    return StepResult(v_next=v_next, iv=iv)
 
 
 def step_ge(v, plan: StepPlan, rng: RngStream) -> StepResult:
@@ -310,8 +306,7 @@ def step_pois_td(v, plan: StepPlan, rng: RngStream) -> StepResult:
         mart_price = 0.5 * rho * rho * (kappa / xi - 0.5 * rho) ** 2 * mom.variance
     elif plan.cfg.martingale_mode == "return_variance":
         mart_retvar = (rho * kappa / xi - 0.5) ** 2 * mom.variance
-    return StepResult(v_next=v_next, iv=mom.mean, mu=mu, mart_price=mart_price,
-                      mart_retvar=mart_retvar)
+    return StepResult(v_next=v_next, iv=mom.mean, mart_price=mart_price, mart_retvar=mart_retvar)
 
 
 def _steps(plan: StepPlan, n_paths: int, rng: RngStream):

@@ -327,9 +327,9 @@ def test_criterion_7_sampler_suite():
         if abs(draws.var() - var_ref) > 3 * se_var:
             fails.append(f"{label} variance")
 
-    check("poisson", sample_poisson(4.0, RngStream(701), size=n).astype(float), 4.0, 4.0)
-    check("gamma", sample_std_gamma(2.0, RngStream(712), size=n), 2.0, 2.0)
-    check("invgauss", sample_invgauss(1.0, 2.0, RngStream(703), size=n), 1.0, 0.5)
+    check("poisson", sample_poisson(np.full(n, 4.0), RngStream(701)).astype(float), 4.0, 4.0)
+    check("gamma", sample_std_gamma(np.full(n, 2.0), RngStream(712)), 2.0, 2.0)
+    check("invgauss", sample_invgauss(np.full(n, 1.0), np.full(n, 2.0), RngStream(703)), 1.0, 0.5)
 
     model = CASE_PRESETS["IV"].model
     v_next, _ = sample_terminal_variance(np.full(n, model.v0), 1.0, model, RngStream(704))
@@ -338,7 +338,7 @@ def test_criterion_7_sampler_suite():
 
     m3 = CASE_PRESETS["III"].model
     z = 0.019 * phi(m3.kappa, 1.0, m3.xi)
-    draws = sample_bessel_rv(m3.nu, z, RngStream(705), size=n).astype(float)
+    draws = sample_bessel_rv(m3.nu, np.full(n, z), RngStream(705)).astype(float)
     bm, bv = eta_moments(0.019, 0.019, m3, 1.0)
     check("bessel count", draws, bm, bv)
 

@@ -117,7 +117,7 @@ def test_series_raises_at_its_term_cap(monkeypatch):
     with pytest.raises(NumericalError, match="did not converge"):
         bessel_ratio(nu, z)
     with pytest.raises(NumericalError, match="did not converge"):
-        sample_bessel_rv(nu, z, RngStream(1), size=10)
+        sample_bessel_rv(nu, np.full(10, z), RngStream(1))
 
 
 def test_vectorized_argument():

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from hestonsim.cli import main, parse_config_file
+from hestonsim.cli import _GRID_CONFIGS, _call_config, _varswap_config, main, parse_config_file
 from hestonsim.errors import ConfigurationError
 from hestonsim.harness import parse_table_csv
 
@@ -264,6 +264,29 @@ def test_failed_forward_identity_is_one_error_line(tmp_path, capsys):
     code, out, err = _run(capsys, "exact", "--params", str(cfg))
     assert code == 1 and out == ""
     assert err == "error: characteristic function fails the forward identity\n"
+
+
+def test_undefined_qe_correction_is_one_error_line(tmp_path, capsys):
+    # At xi = 4, rho = 0.5 one QE step over T = 5 puts 2*A1*a >= 1.
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text("model.s0 = 100\nmodel.v0 = 2\nmodel.kappa = 10\nmodel.theta = 2\n"
+                   "model.xi = 4\nmodel.rho = 0.5\nproduct.maturity = 5\nproduct.strike = 100\n")
+    code, out, err = _run(capsys, "price", "--params", str(cfg), "--scheme", "qem",
+                          "--steps", "1", "--paths", "2000", "--reps", "1")
+    assert code == 1 and out == ""
+    assert err == "error: quadratic-exponential correction undefined: 2*A1*a >= 1\n"
+
+
+def test_cli_martingale_modes():
+    # The correction each subcommand picks, per kind, and the grid4 configs.
+    assert {kind: _call_config(kind, 0, 4).martingale_mode
+            for kind in ("ge", "pois_ge", "ig", "qem", "pois_td")} == {
+        "ge": "none", "pois_ge": "none", "ig": "none", "qem": "price", "pois_td": "price"}
+    assert {kind: _varswap_config(kind, 4).martingale_mode for kind in ("qem", "pois_td")} == {
+        "qem": "price", "pois_td": "return_variance"}
+    assert [(cfg.kind, cfg.martingale_mode) for cfg in _GRID_CONFIGS] == [
+        ("ge", "none"), ("pois_ge", "none"), ("ig", "none"), ("pois_ge", "none"),
+        ("qem", "price"), ("pois_td", "price")]
 
 
 def test_jobs_env_malformed_is_usage_error(monkeypatch, capsys):

@@ -115,6 +115,31 @@ def test_spec_validation_varswaps(overrides):
         _varswap_spec(**overrides)
 
 
+# The benchmarks each product accepts; every other pair is refused.
+_BENCHMARK_POLICY = {
+    "european_call": {"fourier": True, "varswap_closed_form": False, "none": True,
+                      "oracle": False},
+    "variance_swap": {"fourier": False, "varswap_closed_form": True, "none": True,
+                      "oracle": False},
+    "swaption": {"fourier": False, "varswap_closed_form": False, "none": False,
+                 "oracle": False},
+}
+
+
+@pytest.mark.parametrize("product,source,accepted", [
+    (product, source, accepted)
+    for product, row in _BENCHMARK_POLICY.items() for source, accepted in row.items()
+])
+def test_benchmark_policy(product, source, accepted):
+    # ``source``, not ``benchmark``: pytest-benchmark owns that fixture name.
+    make = _varswap_spec if product == "variance_swap" else _call_spec
+    if accepted:
+        assert make(product=product, benchmark=source).benchmark == source
+    else:
+        with pytest.raises(ConfigurationError):
+            make(product=product, benchmark=source)
+
+
 def test_compute_benchmark_sources():
     call = _call_spec()
     preset = CASE_PRESETS["IV"]

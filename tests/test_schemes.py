@@ -1,3 +1,4 @@
+import re
 import zlib
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hestonsim.distributions import (
     sample_terminal_variance,
 )
 from hestonsim import schemes
-from hestonsim.errors import ConfigurationError, NumericalError, ParameterError
+from hestonsim.errors import ConfigurationError, DomainError, NumericalError, ParameterError
 from hestonsim.model import (
     ModelParams,
     avg_variance_moments,
@@ -27,6 +28,8 @@ from hestonsim.rng import RngStream
 from hestonsim.schemes import (
     SchemeConfig,
     _batch_mean,
+    check_call_config,
+    check_varswap_config,
     _invgauss_from_moments,
     cond_forward,
     price_european_cmc,
@@ -72,6 +75,35 @@ def test_scheme_config_accepts_valid():
     SchemeConfig("qem", n_steps=4, martingale_mode="price")
     SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance")
     SchemeConfig("ge", trunc_k=np.int64(2), n_steps=np.int32(1))
+
+
+# Which checks accept each (kind, martingale mode): "s" SchemeConfig, then
+# "c" check_call_config and "v" check_varswap_config; "" is refused outright.
+_MODE_POLICY = {
+    "ge": {"none": "sc", "price": "", "return_variance": "", "bogus": ""},
+    "pois_ge": {"none": "sc", "price": "", "return_variance": "", "bogus": ""},
+    "ig": {"none": "sc", "price": "", "return_variance": "", "bogus": ""},
+    "qem": {"none": "scv", "price": "scv", "return_variance": "", "bogus": ""},
+    "pois_td": {"none": "scv", "price": "scv", "return_variance": "sv", "bogus": ""},
+}
+
+
+@pytest.mark.parametrize("kind,mode,accepted", [
+    (kind, mode, accepted) for kind, row in _MODE_POLICY.items() for mode, accepted in row.items()
+])
+def test_martingale_mode_policy(kind, mode, accepted):
+    if "s" not in accepted:
+        with pytest.raises(ConfigurationError):
+            SchemeConfig(kind, n_steps=4, martingale_mode=mode)
+        return
+    cfg = SchemeConfig(kind, n_steps=4, martingale_mode=mode)
+    for letter, check in (("c", lambda: check_call_config(cfg)),
+                          ("v", lambda: check_varswap_config(cfg, 4))):
+        if letter in accepted:
+            check()
+        else:
+            with pytest.raises(ConfigurationError):
+                check()
 
 
 @pytest.mark.parametrize("name", ["I", "III"])
@@ -154,6 +186,20 @@ def test_qe_branch_moment_matching(model, v, h):
     assert abs(res.v_next.var() - var) < 3 * se_var
 
 
+@pytest.mark.parametrize("kappa,theta,n_steps,reason", [
+    (0.5, 0.04, 4, "A1 >= beta"),
+    (10.0, 2.0, 1, "2*A1*a >= 1"),
+])
+def test_qe_correction_refuses_where_undefined(kappa, theta, n_steps, reason):
+    # At xi = 4, rho = 0.5 and T = 5 the correction's moment generating
+    # function diverges: on the exponential branch at the first model, on
+    # the quadratic one at the second.
+    model = ModelParams(s0=100, v0=theta, kappa=kappa, theta=theta, xi=4, rho=0.5)
+    cfg = SchemeConfig("qem", n_steps=n_steps, martingale_mode="price")
+    with pytest.raises(DomainError, match=re.escape(reason)):
+        price_european_cmc(model, 5.0, 100.0, cfg, 2000, RngStream(1))
+
+
 @pytest.mark.parametrize("kind", ["qem", "pois_td"])
 def test_martingale_correction_preserves_forward(kind):
     preset = CASE_PRESETS["IV"]
@@ -223,7 +269,6 @@ def test_pois_ge_k0_matches_manual_poisson_ig():
     lam = mom.mean**3 / mom.variance
     iv = sample_invgauss(mom.mean, lam, rng)
     np.testing.assert_array_equal(res.v_next, v_next)
-    np.testing.assert_array_equal(res.mu, mu)
     np.testing.assert_array_equal(res.iv, iv)
 
 
