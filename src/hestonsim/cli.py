@@ -54,6 +54,8 @@ _CONFIG_KEYS = frozenset(f"{group}.{name}" for group, names in (
     ("model", _MODEL_KEYS), ("product", ("maturity", "strike")),
     ("run", ("scheme", "trunc_k", "steps", "paths", "reps", "seed", "jobs")),
     ("grid", ("xi", "kappa"))) for name in names)
+#: Keys that ``varswap`` refuses: it prices one case with the --scheme and --periods flags.
+_VARSWAP_REFUSED = frozenset(("run.scheme", "run.steps", "run.trunc_k", "grid.xi", "grid.kappa"))
 
 
 def _call_config(kind: str, trunc_k: int, n_steps: int) -> SchemeConfig:
@@ -225,6 +227,10 @@ def _cmd_price(args) -> int:
 
 def _cmd_varswap(args) -> int:
     values = _params(args)
+    for key in values:
+        if key in _VARSWAP_REFUSED:
+            raise ConfigurationError(f"{args.params}: varswap takes no {key!r}; "
+                                     "--scheme and --periods set its scheme and steps")
     label, model, maturity, _ = _resolve_case(args, values)
     cfg = _varswap_config(SCHEME_FLAGS[args.scheme], args.periods)
     return _write_results([_spec(args, values, label, model, maturity, (cfg,),

@@ -328,13 +328,20 @@ def _variance_drift(v0, v_next, iv: np.ndarray, h: float, model: ModelParams):
     return (model.rho / model.xi) * (v_next - v0 + model.kappa * (iv - model.theta * h))
 
 
-def sample_log_return(v0, v_next, iv, h: float, model: ModelParams, z,
-                      mart_price=0.0):
-    """Log return over one interval conditional on (v0, v_next, iv)."""
+def _log_return_mean(v0, v_next, iv, h: float, model: ModelParams, mart_price=0.0):
+    """Mean of the log return over one interval conditional on (v0, v_next, iv)."""
     iv = np.asarray(iv, dtype=float)
     drift = (model.r - model.q) * h - 0.5 * iv
     drift += _variance_drift(v0, v_next, iv, h, model)
-    return drift + mart_price + np.sqrt((1.0 - model.rho * model.rho) * iv) * np.asarray(z, float)
+    return drift + mart_price
+
+
+def sample_log_return(v0, v_next, iv, h: float, model: ModelParams, z,
+                      mart_price=0.0):
+    """Log return over one interval conditional on (v0, v_next, iv)."""
+    mean = _log_return_mean(v0, v_next, iv, h, model, mart_price)
+    iv = np.asarray(iv, dtype=float)
+    return mean + np.sqrt((1.0 - model.rho * model.rho) * iv) * np.asarray(z, float)
 
 
 def cond_forward(s, v0, v_next, iv, h: float, model: ModelParams, mart_price=0.0):
@@ -414,20 +421,26 @@ def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: Sc
                            n_paths: int, rng: RngStream) -> tuple[float, float]:
     """Annualized realized variance of discretely monitored log returns.
 
-    Monitoring coincides with the simulation grid.  The quadratic-exponential
-    scheme applies its price correction inside the log return; the
-    Poisson-conditioned scheme adds its return-variance correction to the
-    squared return.
+    Monitoring coincides with the simulation grid.  Each period adds the
+    expectation of its squared log return over the return's normal draw,
+    which is independent of the variance path (conditional Monte Carlo):
+    ``m**2 + (1 - rho**2) * iv + mart_retvar``, where ``m`` is the return's
+    conditional mean, ``iv`` the step's integrated variance and
+    ``mart_retvar`` the step's return-variance correction.  The
+    quadratic-exponential scheme applies its price correction inside ``m``;
+    the Poisson-conditioned scheme supplies ``mart_retvar``, the integrated
+    variance's conditional variance times the squared slope of ``m`` in it,
+    so its period adds exactly E[r**2 | V_t, V_t+h, Poisson count].
     """
     check_varswap_config(cfg, n_periods)
     plan = step_plan(model, T / n_periods, cfg)
+    resid = 1.0 - model.rho * model.rho
 
     def batch(nb, sub):
         rv = np.zeros(nb)
         for v, res in _steps(plan, nb, sub):
-            z = sub.gen.standard_normal(nb)
-            lr = sample_log_return(v, res.v_next, res.iv, plan.h, model, z, res.mart_price)
-            rv += lr * lr + res.mart_retvar
+            m = _log_return_mean(v, res.v_next, res.iv, plan.h, model, res.mart_price)
+            rv += m * m + resid * res.iv + res.mart_retvar
         return rv / T
 
     return _batch_mean(n_paths, rng, batch)

@@ -213,6 +213,19 @@ def test_misspelled_config_key_is_runtime_error(tmp_path, capsys):
     assert str(cfg) in err and "run.shceme" in err
 
 
+@pytest.mark.parametrize("line", ["run.scheme = qem", "run.steps = 7", "run.trunc_k = 3",
+                                  "grid.xi = 0.3", "grid.kappa = 1"])
+def test_varswap_refuses_keys_it_cannot_apply(tmp_path, capsys, line):
+    # Ignored, run.scheme = qem would price POIS-TD and run.steps = 7 four periods.
+    cfg = tmp_path / "varswap.cfg"
+    cfg.write_text(CASE_III_CONFIG + line + "\n")
+    code, out, err = _run(capsys, "varswap", "--params", str(cfg), "--scheme", "pois-td",
+                          "--periods", "4", "--paths", "100", "--reps", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cfg) in err and line.split(" =")[0] in err
+
+
 def test_missing_config_file_is_runtime_error(capsys):
     code, _, err = _run(capsys, "exact", "--params", "/nonexistent/file.cfg")
     assert code == 1
@@ -309,12 +322,12 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
     "bench_opt1": "0b78a5079be2960f26f85899e70987d597da15dddad700034e9655d2a5ab972e",
-    "bench_var3": "315964e30ce6744f0e0b34e3273c1f22a00a17922c3c4477431a58adaac2904a",
+    "bench_var3": "a693c36e5c459f2135b9f82c35cd648fc40dc7765d3fa6deae7f64c58dd6115e",
     "bench_grid4": "98ae6fc33f0278dc2d484e5ac95c561991d2f18be8154bb08fb7b9bb7a4e1e93",
     "price_flags": "9686a7745303b59fafc65f7bf3bca997efe276ba6cc9c93b7b134807ce7614b8",
     "price_params": "c3ca80ca6db153d501fa3457ec5ef4283025b77e638c4bc565c3a373b6d892be",
     "price_grid": "94f451a153c707d2cc734cb36713c8a07f6708e98838981d746f1589c06f2e38",
-    "varswap": "48a3035a27068a15cc4dc4eb97667a409059aa25cfac6254633961841c0ba758",
+    "varswap": "41e724d3a0c387605d2697b25ba7423291f9e758dc34dc361feec96f365c92ed",
 }
 
 

@@ -486,6 +486,35 @@ def test_varswap_deterministic():
     assert a == b
 
 
+def _varswap_sampled_returns(model, T, n_periods, cfg, n_paths, rng):
+    """Variance-swap strike from sampled returns: one normal per period, squared."""
+    plan = step_plan(model, T / n_periods, cfg)
+
+    def batch(nb, sub):
+        rv = np.zeros(nb)
+        for v, res in schemes._steps(plan, nb, sub):
+            z = sub.gen.standard_normal(nb)
+            lr = sample_log_return(v, res.v_next, res.iv, plan.h, model, z, res.mart_price)
+            rv += lr * lr + res.mart_retvar
+        return rv / T
+
+    return _batch_mean(n_paths, rng, batch)
+
+
+@pytest.mark.parametrize("cfg", [
+    SchemeConfig("pois_td", n_steps=12, martingale_mode="return_variance"),
+    SchemeConfig("qem", n_steps=12, martingale_mode="price"),
+], ids=lambda c: c.kind)
+def test_varswap_takes_squared_return_in_expectation(cfg):
+    # The driver adds E[r^2 | variance path] per period: the same mean as
+    # squaring a sampled return, with a smaller SE (about 0.7 of it here).
+    p = CASE_PRESETS["IV"]
+    est, se = varswap_fair_strike_mc(p.model, p.maturity, 12, cfg, 20_000, RngStream(79))
+    ref, ref_se = _varswap_sampled_returns(p.model, p.maturity, 12, cfg, 20_000, RngStream(79))
+    assert se <= 0.85 * ref_se
+    assert abs(est - ref) <= 3.0 * np.hypot(se, ref_se)
+
+
 # Case I with xi in {1.5, 2, 3} and Case IV with xi = 2, kappa = 0.1: gamma
 # draws of tiny shape underflow, so variance endpoints of exactly 0 occur.
 _ZERO_VARIANCE_CASES = {
@@ -559,9 +588,9 @@ def test_standard_error_does_not_cancel():
         ("call", SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
          (6.604767353181767, 0.032900731669059234)),
         ("varswap", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
-         (0.20771462383992806, 0.002050937651018761)),
+         (0.20685182590004123, 0.0011860855922667557)),
         ("varswap", SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),
-         (0.21291826732098323, 0.001956537867337996)),
+         (0.21060711555778, 0.0012208379932669865)),
     ],
     ids=["call-pois_ge", "call-ge", "call-ig", "call-qem", "call-pois_td",
          "varswap-qem", "varswap-pois_td"],
