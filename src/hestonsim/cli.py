@@ -54,8 +54,10 @@ _CONFIG_KEYS = frozenset(f"{group}.{name}" for group, names in (
     ("model", _MODEL_KEYS), ("product", ("maturity", "strike")),
     ("run", ("scheme", "trunc_k", "steps", "paths", "reps", "seed", "jobs")),
     ("grid", ("xi", "kappa"))) for name in names)
+#: Keys that ``exact`` refuses: it prices the file's one model.
+_EXACT_REFUSED = frozenset(("grid.xi", "grid.kappa"))
 #: Keys that ``varswap`` refuses: it prices one case with the --scheme and --periods flags.
-_VARSWAP_REFUSED = frozenset(("run.scheme", "run.steps", "run.trunc_k", "grid.xi", "grid.kappa"))
+_VARSWAP_REFUSED = _EXACT_REFUSED | {"run.scheme", "run.steps", "run.trunc_k"}
 
 
 def _call_config(kind: str, trunc_k: int, n_steps: int) -> SchemeConfig:
@@ -189,8 +191,17 @@ def _write_results(specs: list[ExperimentSpec], args) -> int:
     return 0
 
 
+def _refuse_keys(args, values: dict[str, str], refused: frozenset, reason: str):
+    """Raise ConfigurationError naming the first key of ``values`` in ``refused``."""
+    for key in values:
+        if key in refused:
+            raise ConfigurationError(f"{args.params}: {args.command} takes no {key!r}; {reason}")
+
+
 def _cmd_exact(args) -> int:
-    _, model, maturity, strike = _resolve_case(args, _params(args))
+    values = _params(args)
+    _refuse_keys(args, values, _EXACT_REFUSED, "it prices the file's one model")
+    _, model, maturity, strike = _resolve_case(args, values)
     print(f"{price_european_exact(model, maturity, strike):.8f}")
     return 0
 
@@ -227,10 +238,7 @@ def _cmd_price(args) -> int:
 
 def _cmd_varswap(args) -> int:
     values = _params(args)
-    for key in values:
-        if key in _VARSWAP_REFUSED:
-            raise ConfigurationError(f"{args.params}: varswap takes no {key!r}; "
-                                     "--scheme and --periods set its scheme and steps")
+    _refuse_keys(args, values, _VARSWAP_REFUSED, "--scheme and --periods set its scheme and steps")
     label, model, maturity, _ = _resolve_case(args, values)
     cfg = _varswap_config(SCHEME_FLAGS[args.scheme], args.periods)
     return _write_results([_spec(args, values, label, model, maturity, (cfg,),

@@ -164,6 +164,8 @@ def _invgauss_from_moments(mean, var, rng: RngStream):
     with np.errstate(over="ignore"):
         lam = np.where(var > 0, mean**3 / np.where(var > 0, var, 1.0), np.inf)
     ok = (mean > 0) & (var > 0) & (lam < _IG_LAMBDA_MAX)
+    if ok.all():
+        return sample_invgauss(mean, lam, rng)
     out = mean.copy()
     if ok.any():
         out[ok] = sample_invgauss(mean[ok], lam[ok], rng)
@@ -177,6 +179,8 @@ def _gamma_from_moments(mean, var, rng: RngStream):
     ok = (mean > 0) & (var > 0)
     shape = np.where(ok, mean * mean / np.where(ok, var, 1.0), 0.0)
     scale = np.where(ok, var / np.where(ok, mean, 1.0), 0.0)
+    if ok.all():
+        return scale * sample_std_gamma(shape, rng)
     out = mean.copy()
     if ok.any():
         out[ok] = scale[ok] * sample_std_gamma(shape[ok], rng)
@@ -235,30 +239,34 @@ def step_ig(v, plan: StepPlan, rng: RngStream) -> StepResult:
     return StepResult(v_next=v_next, iv=_invgauss_from_moments(mom.mean, mom.variance, rng))
 
 
-def _qe_correction(model, h, psi, branch_a, branch_b2, branch_p, branch_beta, quad):
-    """Martingale correction for the quadratic-exponential step."""
+def _qe_correction(model, h, n, qi, a, b2, ei, p, beta):
+    """Martingale correction for the quadratic-exponential step.
+
+    ``qi`` and ``ei`` index the quadratic and exponential paths of ``n``;
+    ``a``, ``b2`` and ``p``, ``beta`` are their branch values, in that order.
+    """
     rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
     base = rho * h / 4.0 * (2.0 * kappa / xi - rho)
     a1 = base + rho / xi
     a2 = base - rho / xi
-    out = np.empty_like(psi)
-    if quad.any():
-        arg = 1.0 - 2.0 * a1 * branch_a[quad]
+    out = np.empty(n)
+    if qi.size:
+        arg = 1.0 - 2.0 * a1 * a
         if (arg <= 0).any():
             raise DomainError("quadratic-exponential correction undefined: 2*A1*a >= 1")
-        out[quad] = -a1 * branch_b2[quad] * branch_a[quad] / arg + 0.5 * np.log(arg)
-    exp_branch = ~quad
-    if exp_branch.any():
-        beta = branch_beta[exp_branch]
+        out[qi] = -a1 * b2 * a / arg + 0.5 * np.log(arg)
+    if ei.size:
         if (beta <= a1).any():
             raise DomainError("quadratic-exponential correction undefined: A1 >= beta")
-        p = branch_p[exp_branch]
-        out[exp_branch] = -np.log(p + beta * (1.0 - p) / (beta - a1))
+        out[ei] = -np.log(p + beta * (1.0 - p) / (beta - a1))
     return rho * kappa * theta * h / xi + out, a2
 
 
 def step_qem(v, plan: StepPlan, rng: RngStream) -> StepResult:
-    """Quadratic-exponential variance draw with the trapezoidal rule."""
+    """Quadratic-exponential variance draw with the trapezoidal rule.
+
+    Each branch's quantities are computed on its own paths only.
+    """
     model, h = plan.model, plan.h
     n = v.shape[0]
     m, s2 = terminal_variance_moments(v, h, model)
@@ -268,22 +276,25 @@ def step_qem(v, plan: StepPlan, rng: RngStream) -> StepResult:
     u = rng.gen.uniform(size=n)
 
     quad = psi <= 1.5
-    inv_psi = 2.0 / psi
-    b2 = np.where(quad, inv_psi - 1.0 + np.sqrt(inv_psi * np.maximum(inv_psi - 1.0, 0.0)), 0.0)
-    a = np.where(quad, m / (1.0 + b2), 0.0)
-    p = np.where(quad, 0.0, (psi - 1.0) / (psi + 1.0))
-    beta = np.where(quad, np.inf, (1.0 - p) / m)
+    qi = np.flatnonzero(quad)
+    ei = np.flatnonzero(~quad)
+    v_next = np.empty(n)
 
-    v_next = np.where(
-        quad,
-        a * (np.sqrt(b2) + z) ** 2,
-        np.where(u > p, np.log((1.0 - p) / np.maximum(1.0 - u, 1e-300)) / beta, 0.0),
-    )
+    # psi <= 1.5 makes 2/psi - 1 >= 1/3, so the square root is real.
+    inv_psi = 2.0 / psi[qi]
+    b2 = inv_psi - 1.0 + np.sqrt(inv_psi * (inv_psi - 1.0))
+    a = m[qi] / (1.0 + b2)
+    v_next[qi] = a * (np.sqrt(b2) + z[qi]) ** 2
+
+    psi_e, u_e = psi[ei], u[ei]
+    p = (psi_e - 1.0) / (psi_e + 1.0)
+    beta = (1.0 - p) / m[ei]
+    v_next[ei] = np.where(u_e > p, np.log((1.0 - p) / np.maximum(1.0 - u_e, 1e-300)) / beta, 0.0)
     iv = 0.5 * (v + v_next) * h
 
     mart = 0.0
     if plan.cfg.martingale_mode != "none":
-        corr, a2 = _qe_correction(model, h, psi, a, b2, p, beta, quad)
+        corr, a2 = _qe_correction(model, h, n, qi, a, b2, ei, p, beta)
         mart = corr - a2 * v
     return StepResult(v_next=v_next, iv=iv, mart_price=mart)
 

@@ -226,6 +226,17 @@ def test_varswap_refuses_keys_it_cannot_apply(tmp_path, capsys, line):
     assert str(cfg) in err and line.split(" =")[0] in err
 
 
+@pytest.mark.parametrize("line", ["grid.xi = 0.1,0.9", "grid.kappa = 1,4"])
+def test_exact_refuses_grid_keys(tmp_path, capsys, line):
+    # Ignored, grid.xi = 0.1,0.9 would print one price at the file's own xi.
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(CASE_III_CONFIG + line + "\n")
+    code, out, err = _run(capsys, "exact", "--params", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cfg) in err and line.split(" =")[0] in err
+
+
 def test_missing_config_file_is_runtime_error(capsys):
     code, _, err = _run(capsys, "exact", "--params", "/nonexistent/file.cfg")
     assert code == 1

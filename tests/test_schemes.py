@@ -18,6 +18,7 @@ from hestonsim.model import (
     ModelParams,
     avg_variance_moments,
     cond_laplace_pois,
+    iv_moments_bessel,
     iv_moments_pois,
     iv_moments_truncated,
     series_coeffs,
@@ -200,6 +201,52 @@ def test_qe_correction_refuses_where_undefined(kappa, theta, n_steps, reason):
         price_european_cmc(model, 5.0, 100.0, cfg, 2000, RngStream(1))
 
 
+def _qem_where_reference(v, plan, rng):
+    """The QE step with every branch quantity evaluated on every path by np.where."""
+    model, h = plan.model, plan.h
+    m, s2 = terminal_variance_moments(v, h, model)
+    psi = s2 / (m * m)
+    z = rng.gen.standard_normal(v.size)
+    u = rng.gen.uniform(size=v.size)
+    quad = psi <= 1.5
+    inv_psi = 2.0 / psi
+    b2 = np.where(quad, inv_psi - 1.0 + np.sqrt(inv_psi * np.maximum(inv_psi - 1.0, 0.0)), 0.0)
+    a = np.where(quad, m / (1.0 + b2), 0.0)
+    p = np.where(quad, 0.0, (psi - 1.0) / (psi + 1.0))
+    beta = np.where(quad, np.inf, (1.0 - p) / m)
+    v_next = np.where(
+        quad,
+        a * (np.sqrt(b2) + z) ** 2,
+        np.where(u > p, np.log((1.0 - p) / np.maximum(1.0 - u, 1e-300)) / beta, 0.0),
+    )
+    rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
+    base = rho * h / 4.0 * (2.0 * kappa / xi - rho)
+    a1, a2 = base + rho / xi, base - rho / xi
+    arg = 1.0 - 2.0 * a1 * a
+    with np.errstate(invalid="ignore"):  # beta = inf on the quadratic paths
+        corr = np.where(quad, -a1 * b2 * a / arg + 0.5 * np.log(arg),
+                        -np.log(p + beta * (1.0 - p) / (beta - a1)))
+    mart = rho * kappa * theta * h / xi + corr - a2 * v
+    return v_next, 0.5 * (v + v_next) * h, mart
+
+
+def test_qem_step_matches_where_reference():
+    # Case I at N = 80: start variances from 0.005 to 0.3 put psi on both
+    # sides of 1.5, so both branches and both corrections are exercised.
+    preset = CASE_PRESETS["I"]
+    plan = step_plan(preset.model, preset.maturity / 80,
+                     SchemeConfig("qem", n_steps=80, martingale_mode="price"))
+    v = np.linspace(0.005, 0.3, 5000)
+    m, s2 = terminal_variance_moments(v, plan.h, plan.model)
+    quad = s2 / (m * m) <= 1.5
+    assert 1000 < quad.sum() < 4000
+    res = step_qem(v, plan, RngStream(36))
+    v_next, iv, mart = _qem_where_reference(v, plan, RngStream(36))
+    np.testing.assert_array_equal(res.v_next, v_next)
+    np.testing.assert_array_equal(res.iv, iv)
+    np.testing.assert_array_equal(res.mart_price, mart)
+
+
 @pytest.mark.parametrize("kind", ["qem", "pois_td"])
 def test_martingale_correction_preserves_forward(kind):
     preset = CASE_PRESETS["IV"]
@@ -313,18 +360,21 @@ def _kernel_laplace(kind, u, plan, v0, v1, count):
                           (shape0 * rest.mean_z, shape0 * rest.var_z)):
             out *= (1.0 + u * var / mean) ** (-mean * mean / var)
     else:
-        rem = iv_moments_truncated(0, v0, v1, count, model, plan.h, rest)
+        # ig: the whole integrated variance; pois_ge: the remainder after K terms.
+        rem = (iv_moments_bessel(v0, v1, model, plan.h, rest) if kind == "ig"
+               else iv_moments_truncated(0, v0, v1, count, model, plan.h, rest))
         m, lam_ig = rem.mean, rem.mean**3 / rem.variance
         out *= np.exp(lam_ig / m * (1.0 - np.sqrt(1.0 + 2.0 * m * m * u / lam_ig)))
     return out
 
 
 @pytest.mark.parametrize("kind,trunc_k", [("ge", 0), ("ge", 1), ("ge", 4), ("pois_ge", 0),
-                                          ("pois_ge", 4)])
+                                          ("pois_ge", 4), ("ig", 0)])
 def test_series_kernel_conditional_laplace(monkeypatch, kind, trunc_k):
     # With the variance endpoint and the Poisson or Bessel count held fixed,
     # the kernel's integrated variance has the closed-form Laplace transform
-    # of its series terms times that of its moment-matched remainder.
+    # of its series terms times that of its moment-matched remainder; ig has
+    # no terms and matches the whole law given the endpoints alone.
     preset = CASE_PRESETS["I"]
     model, v0, v1, count = preset.model, preset.model.v0, 0.03, 1
     monkeypatch.setattr(schemes, "sample_terminal_variance",
@@ -332,7 +382,7 @@ def test_series_kernel_conditional_laplace(monkeypatch, kind, trunc_k):
     monkeypatch.setattr(schemes, "sample_bessel_rv", lambda nu, z, rng: np.full(z.shape, count))
     plan = step_plan(model, preset.maturity, SchemeConfig(kind, trunc_k))
     n, u = 200_000, 0.855
-    step = {"ge": step_ge, "pois_ge": step_pois_ge}[kind]
+    step = {"ge": step_ge, "pois_ge": step_pois_ge, "ig": step_ig}[kind]
     emp = np.exp(-u * step(np.full(n, v0), plan, RngStream(35)).iv)
     ref = _kernel_laplace(kind, u, plan, v0, v1, count)
     assert abs(emp.mean() - ref) < 3 * emp.std() / np.sqrt(n)
