@@ -332,13 +332,13 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
-    "bench_opt1": "0b78a5079be2960f26f85899e70987d597da15dddad700034e9655d2a5ab972e",
-    "bench_var3": "a693c36e5c459f2135b9f82c35cd648fc40dc7765d3fa6deae7f64c58dd6115e",
-    "bench_grid4": "98ae6fc33f0278dc2d484e5ac95c561991d2f18be8154bb08fb7b9bb7a4e1e93",
-    "price_flags": "9686a7745303b59fafc65f7bf3bca997efe276ba6cc9c93b7b134807ce7614b8",
-    "price_params": "c3ca80ca6db153d501fa3457ec5ef4283025b77e638c4bc565c3a373b6d892be",
-    "price_grid": "94f451a153c707d2cc734cb36713c8a07f6708e98838981d746f1589c06f2e38",
-    "varswap": "41e724d3a0c387605d2697b25ba7423291f9e758dc34dc361feec96f365c92ed",
+    "bench_opt1": "8291dbe152a15252514e43ee8a50d41358dc39e155b22e3ef0f6b4af1c7aadde",
+    "bench_var3": "efee0ca5a66f8fb806a4cd0a36c9f8453f316a9dedc7e6f5a18d6e1dfae1f2f7",
+    "bench_grid4": "50ce2265a35247bdd3a6c9a3284ade60e79e8cfa847fa2a04103bdc0bee8edf7",
+    "price_flags": "bde388c38b29857e515ce2758f57cba1a56d7054fb0c718cf3c11782aedbaba6",
+    "price_params": "2880838337c5cfdd7c209d58430cc7318b9c93b9c6c338ef2ce459e9cd396b44",
+    "price_grid": "025756d280d328b93e58ba25e0dffaa1db5d0ea02fbb2b53f33612780dc3cea1",
+    "varswap": "6fbe7a99489953433151781a07e4746a0546ba07d16dd17b9cf63163951e4f65",
 }
 
 

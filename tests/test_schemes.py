@@ -630,17 +630,17 @@ def test_standard_error_does_not_cancel():
 @pytest.mark.parametrize(
     "driver,cfg,expected",
     [
-        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.759773912647262, 0.03618273814659747)),
-        ("call", SchemeConfig("ge", trunc_k=2), (6.800811585580038, 0.03599071460085846)),
-        ("call", SchemeConfig("ig", n_steps=2), (6.764422502014079, 0.03615946325252426)),
+        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.8189695154779795, 0.03611701498580161)),
+        ("call", SchemeConfig("ge", trunc_k=2), (6.8370515901196, 0.036449940991481904)),
+        ("call", SchemeConfig("ig", n_steps=2), (6.820309654284097, 0.03613768948073572)),
         ("call", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
-         (6.800240468912559, 0.03758645367255599)),
+         (6.817403365330798, 0.037487185506780006)),
         ("call", SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
-         (6.604767353181767, 0.032900731669059234)),
+         (6.663400683446063, 0.03299020513549072)),
         ("varswap", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
-         (0.20685182590004123, 0.0011860855922667557)),
+         (0.20919573282909407, 0.0012283579308124434)),
         ("varswap", SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),
-         (0.21060711555778, 0.0012208379932669865)),
+         (0.21081316156938204, 0.0012081681243960498)),
     ],
     ids=["call-pois_ge", "call-ge", "call-ig", "call-qem", "call-pois_td",
          "varswap-qem", "varswap-pois_td"],
