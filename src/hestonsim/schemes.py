@@ -249,16 +249,14 @@ def _qe_correction(model, h, n, qi, a, b2, ei, p, beta):
     base = rho * h / 4.0 * (2.0 * kappa / xi - rho)
     a1 = base + rho / xi
     a2 = base - rho / xi
+    arg = 1.0 - 2.0 * a1 * a
+    if (arg <= 0).any():
+        raise DomainError("quadratic-exponential correction undefined: 2*A1*a >= 1")
+    if (beta <= a1).any():
+        raise DomainError("quadratic-exponential correction undefined: A1 >= beta")
     out = np.empty(n)
-    if qi.size:
-        arg = 1.0 - 2.0 * a1 * a
-        if (arg <= 0).any():
-            raise DomainError("quadratic-exponential correction undefined: 2*A1*a >= 1")
-        out[qi] = -a1 * b2 * a / arg + 0.5 * np.log(arg)
-    if ei.size:
-        if (beta <= a1).any():
-            raise DomainError("quadratic-exponential correction undefined: A1 >= beta")
-        out[ei] = -np.log(p + beta * (1.0 - p) / (beta - a1))
+    out[qi] = -a1 * b2 * a / arg + 0.5 * np.log(arg)
+    out[ei] = -np.log(p + beta * (1.0 - p) / (beta - a1))
     return rho * kappa * theta * h / xi + out, a2
 
 
