@@ -239,11 +239,11 @@ def step_ig(v, plan: StepPlan, rng: RngStream) -> StepResult:
     return StepResult(v_next=v_next, iv=_invgauss_from_moments(mom.mean, mom.variance, rng))
 
 
-def _qe_correction(model, h, n, qi, a, b2, ei, p, beta):
+def _qe_correction(model, h, qi, a, b2, ei, p, beta):
     """Martingale correction for the quadratic-exponential step.
 
-    ``qi`` and ``ei`` index the quadratic and exponential paths of ``n``;
-    ``a``, ``b2`` and ``p``, ``beta`` are their branch values, in that order.
+    ``qi`` and ``ei`` index the quadratic and exponential paths, together all
+    paths; ``a``, ``b2`` and ``p``, ``beta`` are their branch values.
     """
     rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
     base = rho * h / 4.0 * (2.0 * kappa / xi - rho)
@@ -254,7 +254,7 @@ def _qe_correction(model, h, n, qi, a, b2, ei, p, beta):
         raise DomainError("quadratic-exponential correction undefined: 2*A1*a >= 1")
     if (beta <= a1).any():
         raise DomainError("quadratic-exponential correction undefined: A1 >= beta")
-    out = np.empty(n)
+    out = np.empty(qi.size + ei.size)
     out[qi] = -a1 * b2 * a / arg + 0.5 * np.log(arg)
     out[ei] = -np.log(p + beta * (1.0 - p) / (beta - a1))
     return rho * kappa * theta * h / xi + out, a2
@@ -292,7 +292,7 @@ def step_qem(v, plan: StepPlan, rng: RngStream) -> StepResult:
 
     mart = 0.0
     if plan.cfg.martingale_mode != "none":
-        corr, a2 = _qe_correction(model, h, n, qi, a, b2, ei, p, beta)
+        corr, a2 = _qe_correction(model, h, qi, a, b2, ei, p, beta)
         mart = corr - a2 * v
     return StepResult(v_next=v_next, iv=iv, mart_price=mart)
 
