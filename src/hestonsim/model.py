@@ -106,18 +106,24 @@ def _coth_phi(kappa_arg, t: float, xi: float):
     return (2.0 * kappa_arg / (xi * xi)) / np.tanh(0.5 * kappa_arg * t)
 
 
-def terminal_variance_moments(v0, t: float, model: ModelParams):
+def terminal_variance_moments(v0, t, model: ModelParams):
     """Mean and variance of V_t given V_0 = v0 >= 0 for the CIR variance process.
 
-    Vectorized over ``v0``.
+    Vectorized over ``v0`` and ``t``.
     """
-    if not t > 0:
+    if not np.all(np.asarray(t) > 0):
         raise ParameterError("t must be positive")
     v0 = check_array(ParameterError, "v0", v0)
     e = np.exp(-model.kappa * t)
     mean = model.theta + (v0 - model.theta) * e
     var = (model.xi**2 / model.kappa) * (1.0 - e) * (v0 * e + 0.5 * model.theta * (1.0 - e))
     return mean, var
+
+
+def grid_variance_mean(model: ModelParams, t: float, n: int) -> float:
+    """Mean of ``(1/n) sum_{i=1..n} V_{i t/n}``: the CIR mean averaged over a grid's right ends."""
+    mean, _ = terminal_variance_moments(model.v0, t / n * np.arange(1, n + 1), model)
+    return float(np.mean(mean))
 
 
 def avg_variance_moments(model: ModelParams, t: float):

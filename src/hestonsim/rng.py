@@ -39,7 +39,7 @@ class RngStream:
     truncated.
     """
 
-    __slots__ = ("seed", "key", "gen")
+    __slots__ = ("seed", "key", "_gen")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         check_count(ParameterError, "seed", seed, 0)
@@ -47,8 +47,15 @@ class RngStream:
             check_count(ParameterError, "substream key", k, 0)
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
-        self.gen = np.random.Generator(np.random.SFC64(ss))
+        self._gen = None
+
+    @property
+    def gen(self) -> np.random.Generator:
+        """The stream's generator, built on first use: many streams only hand out substreams."""
+        if self._gen is None:
+            ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
+            self._gen = np.random.Generator(np.random.SFC64(ss))
+        return self._gen
 
     def substream(self, *key: int) -> "RngStream":
         """Return the independent stream indexed by ``self.key + key``."""

@@ -46,6 +46,7 @@ from .model import (
     ModelParams,
     SeriesCoeffs,
     check_factors,
+    grid_variance_mean,
     iv_moments_bessel,
     iv_moments_pois,
     iv_moments_truncated,
@@ -287,7 +288,8 @@ def step_qem(v, plan: StepPlan, rng: RngStream) -> StepResult:
     psi_e, u_e = psi[ei], u[ei]
     p = (psi_e - 1.0) / (psi_e + 1.0)
     beta = (1.0 - p) / m[ei]
-    v_next[ei] = np.where(u_e > p, np.log((1.0 - p) / np.maximum(1.0 - u_e, 1e-300)) / beta, 0.0)
+    # Uniform draws lie in [0, 1), so 1 - u_e >= 2**-53.
+    v_next[ei] = np.where(u_e > p, np.log((1.0 - p) / (1.0 - u_e)) / beta, 0.0)
     iv = 0.5 * (v + v_next) * h
 
     mart = 0.0
@@ -440,17 +442,29 @@ def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: Sc
     the Poisson-conditioned scheme supplies ``mart_retvar``, the integrated
     variance's conditional variance times the squared slope of ``m`` in it,
     so its period adds exactly E[r**2 | V_t, V_t+h, Poisson count].
+
+    The grid average of the variance, ``X = (1/n) sum_i V_{t_i}`` over the
+    monitoring dates ``t_i = i T/n``, is a control variate with coefficient 1:
+    each path returns its realized variance minus ``X`` plus
+    :func:`grid_variance_mean`.  Both kinds reproduce the CIR mean at every
+    grid date (``pois_td`` draws the exact transition, and both QE branches
+    match the conditional mean), so the estimate stays unbiased for each
+    scheme's own expectation, and the returned standard error is that of the
+    controlled values.
     """
     check_varswap_config(cfg, n_periods)
     plan = step_plan(model, T / n_periods, cfg)
     resid = 1.0 - model.rho * model.rho
+    grid_mean = grid_variance_mean(model, T, n_periods)
 
     def batch(nb, sub):
         rv = np.zeros(nb)
+        vsum = np.zeros(nb)
         for v, res in _steps(plan, nb, sub):
             m = _log_return_mean(v, res.v_next, res.iv, plan.h, model, res.mart_price)
             rv += m * m + resid * res.iv + res.mart_retvar
-        return rv / T
+            vsum += res.v_next
+        return rv / T - vsum / n_periods + grid_mean
 
     return _batch_mean(n_paths, rng, batch)
 

@@ -333,12 +333,12 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
     "bench_opt1": "8291dbe152a15252514e43ee8a50d41358dc39e155b22e3ef0f6b4af1c7aadde",
-    "bench_var3": "efee0ca5a66f8fb806a4cd0a36c9f8453f316a9dedc7e6f5a18d6e1dfae1f2f7",
+    "bench_var3": "dd1e90475a179ccaa31d442b2fc96bd75a751598ec3ed8c20cb52820b4b45382",
     "bench_grid4": "50ce2265a35247bdd3a6c9a3284ade60e79e8cfa847fa2a04103bdc0bee8edf7",
     "price_flags": "bde388c38b29857e515ce2758f57cba1a56d7054fb0c718cf3c11782aedbaba6",
     "price_params": "2880838337c5cfdd7c209d58430cc7318b9c93b9c6c338ef2ce459e9cd396b44",
     "price_grid": "025756d280d328b93e58ba25e0dffaa1db5d0ea02fbb2b53f33612780dc3cea1",
-    "varswap": "6fbe7a99489953433151781a07e4746a0546ba07d16dd17b9cf63163951e4f65",
+    "varswap": "9a5956d4265cc9eedb973a4f6a6d2c7ed665ca0cd6c04a3f478109d7e2651ce0",
 }
 
 

@@ -12,6 +12,7 @@ from hestonsim.model import (
     cond_laplace_bk,
     cond_laplace_pois,
     eta_moments,
+    grid_variance_mean,
     iv_moments_bessel,
     iv_moments_pois,
     iv_moments_truncated,
@@ -73,6 +74,34 @@ def test_terminal_variance_moments_short_horizon():
     mean, var = terminal_variance_moments(m.v0, 1e-12, m)
     assert mean == pytest.approx(m.v0, rel=1e-9)
     assert var == pytest.approx(0.0, abs=1e-12)
+
+
+def test_terminal_variance_moments_takes_an_array_of_times():
+    m = CASE_PRESETS["IV"].model
+    mean, var = terminal_variance_moments(m.v0, np.array([0.5, 2.0]), m)
+    assert mean[1] == terminal_variance_moments(m.v0, 2.0, m)[0]
+    assert var[0] == terminal_variance_moments(m.v0, 0.5, m)[1]
+    for t in (np.array([0.5, 0.0]), np.array([np.nan, 1.0])):
+        with pytest.raises(ParameterError, match="t must be positive"):
+            terminal_variance_moments(m.v0, t, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 52])
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
+def test_grid_variance_mean_averages_the_cir_mean(name, n):
+    p = CASE_PRESETS[name]
+    h = p.maturity / n
+    terms = [terminal_variance_moments(p.model.v0, i * h, p.model)[0] for i in range(1, n + 1)]
+    assert grid_variance_mean(p.model, p.maturity, n) == pytest.approx(sum(terms) / n, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 52])
+def test_grid_variance_mean_at_tiny_kappa_h(n):
+    # kappa*h = 1e-12: a geometric-sum form would divide 0 by 0 here.
+    m = dataclasses.replace(CASE_PRESETS["IV"].model, kappa=1e-12 * n)
+    with np.errstate(all="raise"):
+        mean = grid_variance_mean(m, 1.0, n)
+    assert mean == pytest.approx(m.v0, rel=1e-9)
 
 
 @pytest.mark.parametrize(
