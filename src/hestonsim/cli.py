@@ -15,10 +15,15 @@ bench
     ``var3``/``var4`` (variance-swap tables), and ``grid4`` (the
     vol-of-vol x mean-reversion sweep).
 
-Parameter files are flat ``key = value`` text with ``model.*``,
-``product.*``, ``run.*``, and optional ``grid.*`` keys, and an unknown key is
-an error; rates are decimals (``model.r = 0.0319`` means 3.19%).  Exit status
-is 0 on success, 1 on runtime errors, and 2 on usage errors.
+Parameter files are flat ``key = value`` text with ``model.*``, ``product.*``,
+``run.*`` and ``grid.*`` keys; rates are decimals (``model.r = 0.0319`` means
+3.19%).  ``_KEYS`` gives each key's value type and the subcommands that take
+it: ``price`` takes every key; ``exact`` prices one model, so it takes
+no ``grid.*`` key, and ``varswap`` takes neither ``grid.*`` nor the
+``run.{scheme,steps,trunc_k}`` that --scheme and --periods set.  An unknown
+key, a key the subcommand does not take and a malformed value are errors
+naming the file and the line.  Exit status is 0 on success, 1 on runtime
+errors, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -49,15 +54,34 @@ _OPT_TABLES = {"opt1": "I", "opt2": "II", "opt3": "III", "opt4": "IV"}
 _VAR_TABLES = {"var3": "III", "var4": "IV"}
 
 _MODEL_KEYS = ("s0", "v0", "kappa", "theta", "xi", "rho", "r", "q")
-#: Every key a parameter file may set, whichever subcommand reads it.
-_CONFIG_KEYS = frozenset(f"{group}.{name}" for group, names in (
-    ("model", _MODEL_KEYS), ("product", ("maturity", "strike")),
-    ("run", ("scheme", "trunc_k", "steps", "paths", "reps", "seed", "jobs")),
-    ("grid", ("xi", "kappa"))) for name in names)
-#: Keys that ``exact`` refuses: it prices the file's one model.
-_EXACT_REFUSED = frozenset(("grid.xi", "grid.kappa"))
-#: Keys that ``varswap`` refuses: it prices one case with the --scheme and --periods flags.
-_VARSWAP_REFUSED = _EXACT_REFUSED | {"run.scheme", "run.steps", "run.trunc_k"}
+
+
+def _positive(raw: str) -> float:
+    value = float(raw)
+    # Written so that NaN fails it.
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{raw!r} is not finite and positive")
+    return value
+
+
+def _floats(raw: str) -> list[float]:
+    """A comma-separated list of floats, none of them empty."""
+    items = raw.split(",")
+    if not all(item.strip() for item in items):
+        raise ValueError(f"{raw!r} has an empty item")
+    return [float(item) for item in items]
+
+
+_ANY = frozenset(("exact", "price", "varswap"))
+_CALLS = frozenset(("exact", "price"))
+#: The parameter file's schema: each key's value type and the subcommands that take it.
+_KEYS = {
+    **{f"model.{name}": (float, _ANY) for name in _MODEL_KEYS},
+    "product.maturity": (_positive, _ANY), "product.strike": (_positive, _ANY),
+    "run.scheme": (str, _CALLS), "run.trunc_k": (int, _CALLS), "run.steps": (int, _CALLS),
+    **{f"run.{name}": (int, _ANY) for name in ("paths", "reps", "seed", "jobs")},
+    "grid.xi": (_floats, {"price"}), "grid.kappa": (_floats, {"price"}),
+}
 
 
 def _call_config(kind: str, trunc_k: int, n_steps: int) -> SchemeConfig:
@@ -76,7 +100,7 @@ _GRID_CONFIGS = tuple(_call_config(kind, k, n) for kind, k, n in (
 ))
 
 
-def _spec(args, values: dict[str, str], label: str, model: ModelParams, maturity: float,
+def _spec(args, values: dict, label: str, model: ModelParams, maturity: float,
           configs, *, strike: float | None, n_periods: int | None) -> ExperimentSpec:
     """One experiment over ``configs``; paths, reps, seed and jobs come from :func:`_setting`.
 
@@ -100,77 +124,64 @@ def _spec(args, values: dict[str, str], label: str, model: ModelParams, maturity
     )
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; '#' starts a comment.  Unknown keys are refused."""
-    values: dict[str, str] = {}
+def parse_config_file(path: str, command: str) -> dict:
+    """Read ``command``'s flat ``key = value`` config file; '#' starts a comment.
+
+    Each value is converted to its ``_KEYS`` type at its line.  An unknown key,
+    a key ``command`` does not take and a malformed value are refused there.
+    """
+    values = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = f"{path}:{lineno}"
                 if "=" not in line:
-                    raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+                    raise ConfigurationError(f"{where}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
-                    raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value
-    except OSError as exc:
+                if key not in _KEYS:
+                    raise ConfigurationError(f"{where}: unknown key {key!r}")
+                kind, commands = _KEYS[key]
+                if command not in commands:
+                    raise ConfigurationError(f"{where}: {command} takes no {key!r}")
+                try:
+                    values[key] = kind(value)
+                except ValueError as exc:
+                    raise ConfigurationError(f"{where}: {key}: {exc}") from None
+    except (OSError, UnicodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
-def _convert(path: str, key: str, raw, kind=float):
-    """Convert one config value; a malformed one is a ConfigurationError naming file and key."""
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigurationError(f"{path}: {key} = {raw!r} is not a valid {kind.__name__}") from None
-
-
-def model_from_config(values: dict[str, str], path: str) -> ModelParams:
-    """Build model parameters from the ``model.*`` keys of config file ``path``."""
-    kwargs = {}
-    for name in _MODEL_KEYS:
-        key = f"model.{name}"
-        if key in values:
-            kwargs[name] = _convert(path, key, values[key])
+def model_from_config(values: dict) -> ModelParams:
+    """Build model parameters from the ``model.*`` values of :func:`parse_config_file`."""
+    kwargs = {name: values[f"model.{name}"] for name in _MODEL_KEYS if f"model.{name}" in values}
     missing = {"s0", "v0", "kappa", "theta", "xi", "rho"} - kwargs.keys()
     if missing:
         raise ConfigurationError(f"config missing keys: {sorted('model.' + m for m in missing)}")
     return ModelParams(**kwargs)
 
 
-def _case_from_config(values: dict[str, str], path: str) -> tuple[ModelParams, float, float]:
-    """Return (model, maturity, strike); the strike defaults to the spot."""
-    model = model_from_config(values, path)
-    maturity = _convert(path, "product.maturity", values.get("product.maturity", 0))
-    strike = _convert(path, "product.strike", values.get("product.strike", model.s0))
-    for key, value in (("product.maturity", maturity), ("product.strike", strike)):
-        # Written so that NaN fails it.
-        if not 0 < value < float("inf"):
-            raise ConfigurationError(f"{path}: {key} must be finite and positive")
-    return model, maturity, strike
+def _params(args) -> dict:
+    """The typed values of the --params file, or none without one."""
+    return parse_config_file(args.params, args.command) if args.params else {}
 
 
-def _params(args) -> dict[str, str]:
-    """The keys of the --params file, or none without one."""
-    return parse_config_file(args.params) if args.params else {}
-
-
-def _setting(args, values: dict[str, str], name: str):
+def _setting(args, values: dict, name: str):
     """A run setting: the ``run.<name>`` key of the --params file if it has one, else the flag."""
-    key = f"run.{name}"
-    if key not in values:
-        return getattr(args, name)
-    return values[key] if name == "scheme" else _convert(args.params, key, values[key], int)
+    return values.get(f"run.{name}", getattr(args, name))
 
 
-def _resolve_case(args, values: dict[str, str]) -> tuple[str, ModelParams, float, float]:
+def _resolve_case(args, values: dict) -> tuple[str, ModelParams, float, float]:
     """Return (label, model, maturity, strike) from --case or --params ``values``, then --strike."""
     if args.params:
-        label = "custom"
-        model, maturity, strike = _case_from_config(values, args.params)
+        model = model_from_config(values)
+        if "product.maturity" not in values:
+            raise ConfigurationError(f"{args.params}: product.maturity is required")
+        label, maturity = "custom", values["product.maturity"]
+        strike = values.get("product.strike", model.s0)
     elif args.case:
         preset = get_case(args.case)
         label, model, maturity, strike = preset.name, preset.model, preset.maturity, preset.strike
@@ -191,28 +202,11 @@ def _write_results(specs: list[ExperimentSpec], args) -> int:
     return 0
 
 
-def _refuse_keys(args, values: dict[str, str], refused: frozenset, reason: str):
-    """Raise ConfigurationError naming the first key of ``values`` in ``refused``."""
-    for key in values:
-        if key in refused:
-            raise ConfigurationError(f"{args.params}: {args.command} takes no {key!r}; {reason}")
-
-
 def _cmd_exact(args) -> int:
     values = _params(args)
-    _refuse_keys(args, values, _EXACT_REFUSED, "it prices the file's one model")
     _, model, maturity, strike = _resolve_case(args, values)
     print(f"{price_european_exact(model, maturity, strike):.8f}")
     return 0
-
-
-def _grid_values(values: dict[str, str], key: str, default: float, path: str) -> list[float]:
-    if key not in values:
-        return [default]
-    grid = [_convert(path, key, tok) for tok in values[key].split(",") if tok.strip()]
-    if not grid:
-        raise ConfigurationError(f"{path}: {key} lists no values")
-    return grid
 
 
 def _cmd_price(args) -> int:
@@ -228,8 +222,8 @@ def _cmd_price(args) -> int:
                        _setting(args, values, "steps"))
     grid = "grid.xi" in values or "grid.kappa" in values
     specs = []
-    for xi in _grid_values(values, "grid.xi", base.xi, args.params):
-        for kappa in _grid_values(values, "grid.kappa", base.kappa, args.params):
+    for xi in values.get("grid.xi", [base.xi]):
+        for kappa in values.get("grid.kappa", [base.kappa]):
             name = f"custom[xi={xi:g},kappa={kappa:g}]" if grid else label
             specs.append(_spec(args, values, name, replace(base, xi=xi, kappa=kappa), maturity,
                                (cfg,), strike=strike, n_periods=None))
@@ -238,7 +232,6 @@ def _cmd_price(args) -> int:
 
 def _cmd_varswap(args) -> int:
     values = _params(args)
-    _refuse_keys(args, values, _VARSWAP_REFUSED, "--scheme and --periods set its scheme and steps")
     label, model, maturity, _ = _resolve_case(args, values)
     cfg = _varswap_config(SCHEME_FLAGS[args.scheme], args.periods)
     return _write_results([_spec(args, values, label, model, maturity, (cfg,),

@@ -74,6 +74,8 @@ class ExperimentSpec:
                 raise ConfigurationError("n_periods applies only to variance swaps")
             for cfg in self.configs:
                 check_call_config(cfg)
+        elif self.strike is not None:
+            raise ConfigurationError("strike applies only to calls")
         else:
             for cfg in self.configs:
                 check_varswap_config(cfg, self.n_periods)

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from hestonsim.cli import _GRID_CONFIGS, _call_config, _varswap_config, main, parse_config_file
+from hestonsim.cli import (_GRID_CONFIGS, _KEYS, _call_config, _varswap_config, main,
+                           parse_config_file)
 from hestonsim.errors import ConfigurationError
 from hestonsim.harness import parse_table_csv
 
@@ -199,7 +200,7 @@ def test_parse_config_rejects_malformed_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.s0 100\n")
     with pytest.raises(ConfigurationError):
-        parse_config_file(str(cfg))
+        parse_config_file(str(cfg), "price")
 
 
 def test_misspelled_config_key_is_runtime_error(tmp_path, capsys):
@@ -213,28 +214,38 @@ def test_misspelled_config_key_is_runtime_error(tmp_path, capsys):
     assert str(cfg) in err and "run.shceme" in err
 
 
-@pytest.mark.parametrize("line", ["run.scheme = qem", "run.steps = 7", "run.trunc_k = 3",
-                                  "grid.xi = 0.3", "grid.kappa = 1"])
-def test_varswap_refuses_keys_it_cannot_apply(tmp_path, capsys, line):
-    # Ignored, run.scheme = qem would price POIS-TD and run.steps = 7 four periods.
-    cfg = tmp_path / "varswap.cfg"
-    cfg.write_text(CASE_III_CONFIG + line + "\n")
-    code, out, err = _run(capsys, "varswap", "--params", str(cfg), "--scheme", "pois-td",
-                          "--periods", "4", "--paths", "100", "--reps", "1")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(cfg) in err and line.split(" =")[0] in err
+# Values for each key that some subcommand refuses.  Ignored, varswap with
+# run.scheme = qem would price POIS-TD and run.steps = 7 four periods, and exact
+# with grid.xi = 0.1,0.9 would print one price at the file's own xi.
+_REFUSED_VALUES = {"run.scheme": ["qem"], "run.steps": ["7"], "run.trunc_k": ["3"],
+                   "grid.xi": ["0.3", "0.1,0.9"], "grid.kappa": ["1", "1,4"]}
+_COMMAND_ARGV = {
+    "exact": ["exact"],
+    "price": ["price", "--scheme", "pois-ge", "--paths", "100", "--reps", "1"],
+    "varswap": ["varswap", "--scheme", "pois-td", "--periods", "4", "--paths", "100",
+                "--reps", "1"],
+}
+_REFUSED = [(command, key) for key, (_, takers) in _KEYS.items()
+            for command in _COMMAND_ARGV if command not in takers]
 
 
-@pytest.mark.parametrize("line", ["grid.xi = 0.1,0.9", "grid.kappa = 1,4"])
-def test_exact_refuses_grid_keys(tmp_path, capsys, line):
-    # Ignored, grid.xi = 0.1,0.9 would print one price at the file's own xi.
-    cfg = tmp_path / "grid.cfg"
+def test_each_subcommand_refuses_the_keys_it_cannot_apply():
+    grid, run = ["grid.xi", "grid.kappa"], ["run.scheme", "run.trunc_k", "run.steps"]
+    assert sorted(_REFUSED) == sorted([("exact", key) for key in grid]
+                                      + [("varswap", key) for key in grid + run])
+
+
+@pytest.mark.parametrize("command,line", [
+    (command, f"{key} = {value}") for command, key in _REFUSED for value in _REFUSED_VALUES[key]])
+def test_refused_key_is_one_error_line_at_its_line(tmp_path, capsys, command, line):
+    cfg = tmp_path / "refused.cfg"
     cfg.write_text(CASE_III_CONFIG + line + "\n")
-    code, out, err = _run(capsys, "exact", "--params", str(cfg))
+    argv = _COMMAND_ARGV[command]
+    code, out, err = _run(capsys, *argv[:1], "--params", str(cfg), *argv[1:])
     assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(cfg) in err and line.split(" =")[0] in err
+    lineno = CASE_III_CONFIG.count("\n") + 1
+    assert err.startswith(f"error: {cfg}:{lineno}: ")
+    assert err.count("\n") == 1 and line.split(" =")[0] in err
 
 
 def test_missing_config_file_is_runtime_error(capsys):
@@ -253,18 +264,38 @@ def test_missing_config_file_is_runtime_error(capsys):
      ("grid.kappa = ,", "grid.kappa"),
      ("product.maturity = inf", "product.maturity"),
      ("product.maturity = nan", "product.maturity"),
-     ("product.strike = inf", "product.strike")],
+     ("product.strike = inf", "product.strike"),
+     ("grid.xi = 0.61,,0.3", "grid.xi")],
     ids=["model", "maturity", "strike", "run-int", "grid", "grid-empty", "maturity-inf",
-         "maturity-nan", "strike-inf"],
+         "maturity-nan", "strike-inf", "grid-empty-item"],
 )
 def test_malformed_config_value_is_runtime_error(tmp_path, capsys, extra, key):
-    # A later line overrides an earlier one.
+    # The last line sets ``key``; a line is checked even where a later one overrides it.
+    text = CASE_III_CONFIG + extra + "\n"
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CASE_III_CONFIG + extra + "\n")
+    cfg.write_text(text)
     code, _, err = _run(capsys, "price", "--params", str(cfg), "--scheme", "pois-ge",
                         "--paths", "100", "--reps", "1")
     assert code == 1
-    assert err.startswith("error:") and str(cfg) in err and key in err
+    lineno = text.count("\n")
+    assert err.startswith(f"error: {cfg}:{lineno}: ") and key in err
+
+
+def test_exact_checks_the_run_keys_it_does_not_use(tmp_path, capsys):
+    # A shared case file is checked whole: exact prints no price beside a bad run.paths.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CASE_III_CONFIG + "run.paths = 1e5\n")
+    code, out, err = _run(capsys, "exact", "--params", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg}:11: run.paths")
+
+
+def test_undecodable_config_file_is_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"model.s0 = \xd0\xff\n")
+    code, out, err = _run(capsys, "exact", "--params", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read config file {cfg}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [("exact", "--strike", "1e308"),

@@ -108,6 +108,7 @@ def test_call_spec_rejects_varswap_only_settings_by_name():
         dict(n_periods="4"),
         dict(n_periods=4.0),
         dict(n_periods=0),
+        dict(strike=123.0),
     ],
 )
 def test_spec_validation_varswaps(overrides):
