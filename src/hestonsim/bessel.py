@@ -18,8 +18,10 @@ from this pass at every argument.  And ``I_{nu+1}(z) / I_nu(z)`` needs one
 more accumulator: term k of the I_{nu+1} series is term k of the I_nu series
 times (z/2) / (k + nu + 1).  Neither the mass nor the ratio needs the peak
 term, so neither evaluates log Gamma; in the Hankel region the ratio is the
-quotient of the two asymptotic sums.  A pass that would need more than
-``_MAX_TERMS`` terms (z beyond ~6.5e8) raises NumericalError.
+quotient of the two asymptotic sums.  The series pass owns z = 0 too: only
+its k = 0 term is left, so the mode is 0 with mass 1 and the ratio is 0.  A
+pass that would need more than ``_MAX_TERMS`` terms (z beyond ~6.5e8) raises
+NumericalError.
 """
 
 from __future__ import annotations
@@ -57,19 +59,22 @@ def _hankel_region(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _peak_sums(nu: float, z: np.ndarray, ratio: bool = False):
-    """Power series of I_nu at z > 0, summed outward from its peak term.
+    """Power series of I_nu at z >= 0, summed outward from its peak term.
 
     Returns ``(k*, total, shifted)``: the peak index (the count's mode) as
     floats, the series sum in units of its peak term, and, if ``ratio``, the
     I_{nu+1} series over z/2 in the same units (else None).  So ``1 / total``
     is the Bessel count's mass at its mode and ``(z/2) shifted / total`` is
-    ``I_{nu+1} / I_nu``.  Raises NumericalError past ``_MAX_TERMS`` terms.
+    ``I_{nu+1} / I_nu``.  At z = 0, h2 = 0 leaves the single term k* = 0:
+    total = 1 and shifted = 1 / (nu + 1).  Raises NumericalError past
+    ``_MAX_TERMS`` terms.
     """
     kstar = np.maximum(np.floor(0.5 * (np.sqrt(nu * nu + z * z) - nu)), 0.0)
     total = np.ones_like(z)
-    h2 = np.exp(2.0 * np.log(0.5 * z))
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives h2 = 0 at z = 0
+        h2 = np.exp(2.0 * np.log(0.5 * z))
     # shifted sums term_k / (k + nu + 1).  Its term k - 1 is term_k * k / h2;
-    # h2 underflows only where kstar = 0 and so k = 0.
+    # h2 is 0 or underflows only where kstar = 0 and so k = 0.
     shifted = np.zeros_like(z) if ratio else None
     inv_h2 = 1.0 / np.maximum(h2, np.finfo(float).tiny)
 
@@ -164,14 +169,13 @@ def log_bessel_iv_scaled(nu: float, z):
 def bessel_ratio(nu: float, z):
     """Return ``I_{nu+1}(z) / I_nu(z)`` elementwise, overflow-free; 0 at z = 0."""
     z_arr = np.atleast_1d(_check_args(nu, z))
-    out = np.zeros_like(z_arr)
+    out = np.empty_like(z_arr)
     asym = _hankel_region(nu + 1.0, z_arr)
     if asym.any():
         za = z_arr[asym]
         out[asym] = _hankel_sum(nu + 1.0, za) / _hankel_sum(nu, za)
-    series = ~asym & (z_arr > 0.0)
-    if series.any():
-        zs = z_arr[series]
+    if not asym.all():
+        zs = z_arr[~asym]
         _, total, shifted = _peak_sums(nu, zs, ratio=True)
-        out[series] = 0.5 * zs * shifted / total
+        out[~asym] = 0.5 * zs * shifted / total
     return out if np.ndim(z) else float(out[0])

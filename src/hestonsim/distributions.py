@@ -98,14 +98,10 @@ def sample_bessel_rv(nu: float, z, rng: RngStream):
     from one peak-centred pass at every z.  Probability is then accumulated
     outward from the mode by the two-term ratio recursion, over the draws
     whose uniform is not yet covered, until each is.
+    The series pass owns z = 0: there the mode is 0 with mass 1, so
     BES(nu, 0) is a point mass at 0.
     """
     z = np.atleast_1d(_check_args(nu, z))
-    zero = z == 0.0
-    if zero.any():
-        # Search at a placeholder argument; the result is overwritten below.
-        z = np.where(zero, 1.0, z)
-
     u = rng.gen.uniform(size=z.size)
     result, total, _ = _peak_sums(nu, z)
     p_mode = 1.0 / total
@@ -127,7 +123,8 @@ def sample_bessel_rv(nu: float, z, rng: RngStream):
         cum += p_up
         # Candidate below the mode, while any remain.
         below = j_dn > 0.0
-        # Masked: h2 underflows to 0 for z below ~1e-154, where j_dn is 0.
+        # Masked: h2 is 0 at z = 0 and underflows to 0 for z below ~1e-154;
+        # there j_dn is 0.
         p_dn = np.divide(p_dn * j_dn * (j_dn + nu), h2, out=np.zeros_like(h2), where=below)
         j_dn -= below
         take_dn = ~take_up & below & (cum + p_dn >= u)
@@ -142,4 +139,4 @@ def sample_bessel_rv(nu: float, z, rng: RngStream):
             a[keep] for a in (live, u, cum, h2, p_up, j_up, p_dn, j_dn))
     else:
         raise NumericalError("Bessel count sampling failed to cover the uniform draw")
-    return np.where(zero, 0, result).astype(np.int64)
+    return result.astype(np.int64)

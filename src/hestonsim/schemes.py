@@ -180,11 +180,10 @@ def _gamma_from_moments(mean, var, rng: RngStream):
     ok = (mean > 0) & (var > 0)
     shape = np.where(ok, mean * mean / np.where(ok, var, 1.0), 0.0)
     scale = np.where(ok, var / np.where(ok, mean, 1.0), 0.0)
-    if ok.all():
-        return scale * sample_std_gamma(shape, rng)
-    out = mean.copy()
-    if ok.any():
-        out[ok] = scale[ok] * sample_std_gamma(shape[ok], rng)
+    # A zero shape yields 0 and uses no random draw, so the valid paths draw
+    # what they would draw alone.
+    out = scale * sample_std_gamma(shape, rng)
+    np.copyto(out, mean, where=~ok)
     return out
 
 
@@ -240,27 +239,6 @@ def step_ig(v, plan: StepPlan, rng: RngStream) -> StepResult:
     return StepResult(v_next=v_next, iv=_invgauss_from_moments(mom.mean, mom.variance, rng))
 
 
-def _qe_correction(model, h, qi, a, b2, ei, p, beta):
-    """Martingale correction for the quadratic-exponential step.
-
-    ``qi`` and ``ei`` index the quadratic and exponential paths, together all
-    paths; ``a``, ``b2`` and ``p``, ``beta`` are their branch values.
-    """
-    rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
-    base = rho * h / 4.0 * (2.0 * kappa / xi - rho)
-    a1 = base + rho / xi
-    a2 = base - rho / xi
-    arg = 1.0 - 2.0 * a1 * a
-    if (arg <= 0).any():
-        raise DomainError("quadratic-exponential correction undefined: 2*A1*a >= 1")
-    if (beta <= a1).any():
-        raise DomainError("quadratic-exponential correction undefined: A1 >= beta")
-    out = np.empty(qi.size + ei.size)
-    out[qi] = -a1 * b2 * a / arg + 0.5 * np.log(arg)
-    out[ei] = -np.log(p + beta * (1.0 - p) / (beta - a1))
-    return rho * kappa * theta * h / xi + out, a2
-
-
 def step_qem(v, plan: StepPlan, rng: RngStream) -> StepResult:
     """Quadratic-exponential variance draw with the trapezoidal rule.
 
@@ -294,8 +272,19 @@ def step_qem(v, plan: StepPlan, rng: RngStream) -> StepResult:
 
     mart = 0.0
     if plan.cfg.martingale_mode != "none":
-        corr, a2 = _qe_correction(model, h, qi, a, b2, ei, p, beta)
-        mart = corr - a2 * v
+        rho, xi, kappa, theta = model.rho, model.xi, model.kappa, model.theta
+        base = rho * h / 4.0 * (2.0 * kappa / xi - rho)
+        a1 = base + rho / xi
+        a2 = base - rho / xi
+        arg = 1.0 - 2.0 * a1 * a
+        if (arg <= 0).any():
+            raise DomainError("quadratic-exponential correction undefined: 2*A1*a >= 1")
+        if (beta <= a1).any():
+            raise DomainError("quadratic-exponential correction undefined: A1 >= beta")
+        corr = np.empty(n)
+        corr[qi] = -a1 * b2 * a / arg + 0.5 * np.log(arg)
+        corr[ei] = -np.log(p + beta * (1.0 - p) / (beta - a1))
+        mart = rho * kappa * theta * h / xi + corr - a2 * v
     return StepResult(v_next=v_next, iv=iv, mart_price=mart)
 
 

@@ -203,6 +203,7 @@ def test_criterion_4_option_table_reproduction():
     bias_fail = []
     spot_fail = []
     timing_fail = []
+    ratios = []
     n_bias = n_spot = n_timing = 0
     for name, preset in CASE_PRESETS.items():
         nfine = _TD_FINEST[name]
@@ -232,6 +233,9 @@ def test_criterion_4_option_table_reproduction():
                 spot_fail.append(f"{name}/{label}/K={kk}")
         # runtime ordering: the Poisson-conditioned series beats the Bessel
         # series at equal truncation, and its K=0 form beats the IG scheme.
+        walls = [row[2] for row in rows]
+        ratios.append(f"{name} " + "/".join(f"{walls[i + 3] / walls[i]:.2f}" for i in range(3))
+                      + f" {walls[6] / walls[0]:.2f}")
         for i in range(3):
             n_timing += 1
             if rows[i][2] >= rows[i + 3][2]:
@@ -243,7 +247,8 @@ def test_criterion_4_option_table_reproduction():
     _report(4, ok,
             f"{n_bias - len(bias_fail)}/{n_bias} biases within 3 SE of reference, "
             f"{n_spot - len(spot_fail)}/{n_spot} spot reconstructions unbiased, "
-            f"{n_timing - len(timing_fail)}/{n_timing} runtime orderings hold"
+            f"{n_timing - len(timing_fail)}/{n_timing} runtime orderings hold "
+            f"(wall ratios ge/pois_ge at K=0/4/8, ig/pois_ge at K=0: {', '.join(ratios)})"
             + (f"; failures: {bias_fail + spot_fail + timing_fail}" if not ok else ""))
     assert ok
 

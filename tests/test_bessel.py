@@ -145,6 +145,19 @@ def test_nonfinite_argument_rejected(z):
         log_bessel_iv_scaled(0.5, z)
 
 
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 2.5])
+def test_zero_argument_inside_arrays(nu):
+    # The series pass owns z = 0: h2 = 0 leaves only its k = 0 term.
+    z = np.array([0.0, 1e-300, 3.0, 60.0, 2e3])
+    out = bessel_ratio(nu, z)
+    assert out[0] == 0.0
+    np.testing.assert_array_equal(out, [bessel_ratio(nu, x) for x in z])
+    kstar, total, shifted = _peak_sums(nu, np.zeros(3), ratio=True)
+    np.testing.assert_array_equal(kstar, 0.0)
+    np.testing.assert_array_equal(total, 1.0)
+    np.testing.assert_array_equal(shifted, 1.0 / (nu + 1.0))
+
+
 def test_empty_argument():
     assert log_bessel_iv_scaled(0.5, np.array([])).shape == (0,)
 

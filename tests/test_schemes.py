@@ -30,6 +30,7 @@ from hestonsim.rng import RngStream
 from hestonsim.schemes import (
     SchemeConfig,
     _batch_mean,
+    _gamma_from_moments,
     check_call_config,
     check_varswap_config,
     _invgauss_from_moments,
@@ -414,6 +415,25 @@ def test_invgauss_guard_returns_mean_when_degenerate():
     out = _invgauss_from_moments(np.array([0.5, 0.7]), np.array([0.0, 1e-320]),
                                  RngStream(30))
     np.testing.assert_array_equal(out, [0.5, 0.7])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gamma_guard_returns_mean_when_degenerate(seed):
+    # Degenerate entries take shape 0, whose gamma is 0 and uses no draw, so
+    # the valid entries draw what they would draw alone.
+    gen = np.random.default_rng(seed)
+    mean = gen.uniform(0.1, 2.0, 40)
+    var = gen.uniform(1e-3, 1.0, 40)
+    mean[gen.uniform(size=40) < 0.2] = 0.0
+    var[gen.uniform(size=40) < 0.2] = 0.0
+    ok = (mean > 0) & (var > 0)
+    assert ok.any() and not ok.all()
+    rng, ref = RngStream(32, (seed,)), RngStream(32, (seed,))
+    out = _gamma_from_moments(mean, var, rng)
+    np.testing.assert_array_equal(out[~ok], mean[~ok])
+    alone = var[ok] / mean[ok] * sample_std_gamma(mean[ok] * mean[ok] / var[ok], ref)
+    np.testing.assert_array_equal(out[ok], alone)
+    assert rng.gen.uniform() == ref.gen.uniform()
 
 
 def test_price_european_cmc_deterministic():
