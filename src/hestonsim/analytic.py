@@ -80,8 +80,7 @@ def heston_charfn_multifactor(u, models: list[ModelParams], T: float):
     The factors contribute multiplicatively; all must share (s0, r, q).
     """
     head = check_factors(models)
-    if not T > 0:
-        raise ParameterError("T must be positive")
+    check_array(ParameterError, "T", T, positive=True)
     u = np.asarray(u, dtype=complex)
     log_cf = 1j * u * (head.r - head.q) * T
     for m in models:
@@ -105,8 +104,7 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
     C / (S e^{-qT}) = (1 - b) / 2 + (1 / pi) int_0^inf Re[e^{-iuk} (phi(u - i) / phi(-i)
     - b phi(u)) / (iu)] du, with k = ln(K/S) and b = K e^{-rT} / (S e^{-qT}).
     """
-    if not (T > 0 and strike > 0):
-        raise ParameterError("T and strike must be positive")
+    check_array(ParameterError, "T and strike", (T, strike), positive=True)
     # For kappa < rho xi the little-trap g is 0/0 here; the NaN fails the check below.
     with np.errstate(divide="ignore", invalid="ignore"):
         fwd_cf = heston_charfn_multifactor(-1j, models, T)
@@ -156,8 +154,7 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
 
 def bs_call_undiscounted(forward, sigma, T: float, strike):
     """Undiscounted Black call price on the forward; sigma = 0 gives intrinsic value."""
-    if not T > 0:
-        raise ParameterError("T must be positive")
+    check_array(ParameterError, "T", T, positive=True)
     forward = check_array(ParameterError, "forward", forward, positive=True)
     sigma = check_array(ParameterError, "sigma", sigma)
     strike = check_array(ParameterError, "strike", strike, positive=True)
@@ -215,10 +212,9 @@ def varswap_strike_discrete(model: ModelParams, T: float, h: float) -> float:
     The continuous strike plus a closed-form adjustment in the monitoring
     step; the adjustment vanishes as h decreases to zero.
     """
-    if not (T > 0 and h > 0):
-        raise ParameterError("T and h must be positive")
+    check_array(ParameterError, "T and h", (T, h), positive=True)
     n = T / h
-    if abs(n - round(n)) > 1e-9 * max(n, 1.0):
+    if not 0.5 <= n < np.inf or abs(n - round(n)) > 1e-9 * max(n, 1.0):
         raise ParameterError(f"T/h = {n} must be a positive integer number of periods")
     kappa, theta, xi, rho, v0 = model.kappa, model.theta, model.xi, model.rho, model.v0
     drift = theta + 2.0 * model.q - 2.0 * model.r

@@ -1,27 +1,25 @@
 """Modified Bessel function of the first kind, I_nu, for nu > -1 and z >= 0.
 
-Two evaluation branches are used:
+One power-series pass, summed outward from its largest term so that neither
+large orders nor large arguments overflow, serves three callers.  All its
+terms are positive, so it carries no cancellation and is accurate to near
+machine precision for any admissible order.
 
-* an adaptively truncated power series, summed outward from its largest term
-  so that neither large orders nor large arguments overflow, and
-* the large-argument exponential-scaled (Hankel) asymptotic expansion.
+* The log value ``ln(exp(-z) I_nu(z))``, which stays representable where
+  I_nu itself overflows (z beyond ~709), takes one branch: the pass's sum
+  and the log of its peak term (``math.lgamma``).
+* The Bessel count's mode mass is the reciprocal of the sum; the count
+  sampler takes it from this pass at every argument.
+* The ratio ``I_{nu+1}(z) / I_nu(z)`` takes two branches.  Off the Hankel
+  region it needs one more accumulator: term k of the I_{nu+1} series is
+  term k of the I_nu series times (z/2) / (k + nu + 1).  In the Hankel
+  region (z >= 50 and nu^2 <= z) it is the quotient of the two large-argument
+  asymptotic sums, which stay fast where the series pass grows long.
 
-Both branches compute ``ln(exp(-z) I_nu(z))``, which stays representable where
-I_nu itself overflows (z beyond ~709).  All terms of the power series are
-positive, so the series branch carries no cancellation and is accurate to
-near machine precision for any admissible order.
-
-One series pass, in units of its peak term, serves three callers.  Its sum
-and the log of the peak term (``math.lgamma``) give the log value.  Its
-reciprocal is the Bessel count's mode mass, which the count sampler takes
-from this pass at every argument.  And ``I_{nu+1}(z) / I_nu(z)`` needs one
-more accumulator: term k of the I_{nu+1} series is term k of the I_nu series
-times (z/2) / (k + nu + 1).  Neither the mass nor the ratio needs the peak
-term, so neither evaluates log Gamma; in the Hankel region the ratio is the
-quotient of the two asymptotic sums.  The series pass owns z = 0 too: only
-its k = 0 term is left, so the mode is 0 with mass 1 and the ratio is 0.  A
-pass that would need more than ``_MAX_TERMS`` terms (z beyond ~6.5e8) raises
-NumericalError.
+Neither the mass nor the ratio needs the peak term, so neither evaluates
+log Gamma.  The series pass owns z = 0 too: only its k = 0 term is left, so
+the mode is 0 with mass 1 and the ratio is 0.  A pass that would need more
+than ``_MAX_TERMS`` terms (z beyond ~6.5e8) raises NumericalError.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, check_array
 
-# Crossover to the asymptotic branch.  The scaled asymptotic series reaches
-# machine precision before diverging once z is comfortably larger than nu^2;
-# everywhere else the peak-summed power series is used.
+# Crossover of the ratio to its asymptotic branch.  The scaled asymptotic
+# series reaches machine precision before diverging once z is comfortably
+# larger than nu^2.
 _ASYM_Z_MIN = 50.0
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 100_000
@@ -48,13 +46,12 @@ def log_gamma(x) -> np.ndarray:
 
 def _check_args(nu: float, z) -> np.ndarray:
     """Check the order and return the argument as a float array."""
-    if not np.isfinite(nu) or nu <= -1.0:
-        raise ParameterError(f"Bessel order must satisfy nu > -1, got {nu}")
+    check_array(ParameterError, "Bessel order nu + 1", nu + 1.0, positive=True)
     return check_array(ParameterError, "Bessel argument", z)
 
 
 def _hankel_region(nu: float, z: np.ndarray) -> np.ndarray:
-    """Where the Hankel expansion of I_nu, not the power series, is evaluated."""
+    """Where the ratio's Hankel expansion, not the power series, is evaluated."""
     return (z >= _ASYM_Z_MIN) & (nu * nu <= z)
 
 
@@ -108,19 +105,6 @@ def _peak_sums(nu: float, z: np.ndarray, ratio: bool = False):
     return kstar, total, shifted
 
 
-def _log_ive_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Power-series branch of ``ln(e^-z I_nu)`` for z >= 0."""
-    out = np.empty_like(z)
-    zero = z == 0.0  # only the k = 0 term (z/2)^nu / Gamma(nu + 1) is left
-    out[zero] = 0.0 if nu == 0.0 else (np.inf if nu < 0.0 else -np.inf)
-    zp = z[~zero]
-    kstar, total, _ = _peak_sums(nu, zp)
-    log_peak = ((nu + 2.0 * kstar) * np.log(0.5 * zp)
-                - log_gamma(kstar + 1.0) - log_gamma(kstar + nu + 1.0))
-    out[~zero] = log_peak + np.log(total) - zp
-    return out
-
-
 def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
     """Asymptotic sum S with ``e^-z I_nu(z) ~ S / sqrt(2 pi z)``, cut at its smallest term."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -141,11 +125,6 @@ def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _log_ive_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
-    """Exponential-scaled asymptotic expansion of ``ln(e^-z I_nu)``."""
-    return -0.5 * np.log(2.0 * np.pi * z) + np.log(_hankel_sum(nu, z))
-
-
 def log_bessel_iv_scaled(nu: float, z):
     """Return ``ln(exp(-z) I_nu(z))`` elementwise.
 
@@ -158,11 +137,13 @@ def log_bessel_iv_scaled(nu: float, z):
     """
     z_arr = np.atleast_1d(_check_args(nu, z))
     out = np.empty_like(z_arr)
-    asym = _hankel_region(nu, z_arr)
-    if asym.any():
-        out[asym] = _log_ive_asymptotic(nu, z_arr[asym])
-    if not asym.all():
-        out[~asym] = _log_ive_series(nu, z_arr[~asym])
+    zero = z_arr == 0.0  # only the k = 0 term (z/2)^nu / Gamma(nu + 1) is left
+    out[zero] = 0.0 if nu == 0.0 else (np.inf if nu < 0.0 else -np.inf)
+    zp = z_arr[~zero]
+    kstar, total, _ = _peak_sums(nu, zp)
+    log_peak = ((nu + 2.0 * kstar) * np.log(0.5 * zp)
+                - log_gamma(kstar + 1.0) - log_gamma(kstar + nu + 1.0))
+    out[~zero] = log_peak + np.log(total) - zp
     return out if np.ndim(z) else float(out[0])
 
 

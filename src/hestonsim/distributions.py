@@ -61,8 +61,6 @@ def sample_terminal_variance(v0, h: float, model: ModelParams, rng: RngStream):
     The marginal law of ``v_next`` is the exact noncentral chi-square
     transition of the variance process.
     """
-    if not h > 0:
-        raise ParameterError("h must be positive")
     v0 = check_array(ParameterError, "v0", v0)
     phi_h = phi(model.kappa, h, model.xi)
     ekh = np.exp(-0.5 * model.kappa * h)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic import price_european_exact, varswap_strike_discrete
-from .errors import ConfigurationError, check_count
+from .errors import ConfigurationError, check_array, check_count
 from .model import ModelParams
 from .rng import RngStream
 from .schemes import (
@@ -60,16 +60,14 @@ class ExperimentSpec:
                 f"benchmark {self.benchmark!r} does not price a {self.product}")
         for count in (self.n_paths, self.n_reps):
             check_count(ConfigurationError, "n_paths and n_reps", count, 1)
-        # Written so that NaN fails them.
-        if not 0 < self.maturity < np.inf:
-            raise ConfigurationError("maturity must be finite and positive")
+        check_array(ConfigurationError, "maturity", self.maturity, positive=True)
         if not self.configs:
             raise ConfigurationError("at least one scheme config is required")
         check_count(ConfigurationError, "n_jobs", self.n_jobs, 1)
         check_count(ConfigurationError, "seed", self.seed, 0)
         if self.product == "european_call":
-            if self.strike is None or not 0 < self.strike < np.inf:
-                raise ConfigurationError("european_call requires a finite positive strike")
+            # A missing strike, None, converts to NaN and fails too.
+            check_array(ConfigurationError, "a call's strike", self.strike, positive=True)
             if self.n_periods is not None:
                 raise ConfigurationError("n_periods applies only to variance swaps")
             for cfg in self.configs:

@@ -55,9 +55,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("s0", "v0", "kappa", "theta", "xi"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0:
-                raise ParameterError(f"{name} must be finite and positive, got {val}")
+            check_array(ParameterError, name, getattr(self, name), positive=True)
         if not -1.0 <= self.rho <= 1.0:
             raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
         for name in ("r", "q"):
@@ -82,9 +80,7 @@ def phi(kappa_arg: float, t: float, xi: float) -> float:
     shifted rates through :func:`_log_phi` and :func:`_coth_phi`, which do not
     overflow.
     """
-    # Written so that NaN fails it.
-    if not (kappa_arg > 0 and t > 0 and xi > 0):
-        raise ParameterError("phi requires positive kappa_arg, t, and xi")
+    check_array(ParameterError, "phi's kappa_arg, t and xi", (kappa_arg, t, xi), positive=True)
     x = 0.5 * kappa_arg * t
     if x > _MAX_HYP_ARG:
         raise DomainError(f"kappa*t/2 = {x} overflows sinh")
@@ -111,8 +107,7 @@ def terminal_variance_moments(v0, t, model: ModelParams):
 
     Vectorized over ``v0`` and ``t``.
     """
-    if not np.all(np.asarray(t) > 0):
-        raise ParameterError("t must be positive")
+    t = check_array(ParameterError, "t", t, positive=True)
     v0 = check_array(ParameterError, "v0", v0)
     e = np.exp(-model.kappa * t)
     mean = model.theta + (v0 - model.theta) * e
@@ -131,8 +126,7 @@ def avg_variance_moments(model: ModelParams, t: float):
 
     The mean is also the fair strike of a continuously monitored variance swap.
     """
-    if not t > 0:
-        raise ParameterError("t must be positive")
+    check_array(ParameterError, "t", t, positive=True)
     kappa, theta, v0, xi = model.kappa, model.theta, model.v0, model.xi
     kt = kappa * t
     e = np.exp(-kt)
@@ -223,8 +217,7 @@ class SeriesCoeffs:
 
 def series_coeffs(model: ModelParams, h: float) -> SeriesCoeffs:
     """Evaluate the coefficient bundle for step size h."""
-    if not h > 0:
-        raise ParameterError("h must be positive")
+    check_array(ParameterError, "h", h, positive=True)
     a = 0.5 * model.kappa * h
     if a > _MAX_HYP_ARG:
         raise DomainError(f"kappa*h/2 = {a} overflows the hyperbolic coefficients")

@@ -108,12 +108,15 @@ def check_call_config(cfg: SchemeConfig) -> None:
 
 
 def check_varswap_config(cfg: SchemeConfig, n_periods: int) -> None:
-    """Variance swaps are monitored on the simulation grid of a time-discretization scheme."""
+    """A variance swap runs on a time-discretization kind's grid, with its own correction or none."""
     check_count(ConfigurationError, "n_periods", n_periods, 1)
     if cfg.kind not in CORRECTIONS:
         raise ConfigurationError(
             f"variance swaps require a time-discretization scheme, got {cfg.kind!r}"
         )
+    if cfg.martingale_mode not in ("none", CORRECTIONS[cfg.kind]["varswap"]):
+        raise ConfigurationError(
+            f"a variance swap under {cfg.kind} takes no correction {cfg.martingale_mode!r}")
     if cfg.n_steps != n_periods:
         raise ConfigurationError("monitoring periods must match the step count")
 

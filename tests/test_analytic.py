@@ -29,7 +29,15 @@ from hestonsim.model import (
 )
 from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
-from hestonsim.schemes import SchemeConfig, cond_forward, price_european_cmc, sample_log_return
+from hestonsim.distributions import sample_terminal_variance
+from hestonsim.schemes import (
+    SchemeConfig,
+    cond_forward,
+    price_european_cmc,
+    reconstruct_spot,
+    sample_log_return,
+    varswap_fair_strike_mc,
+)
 
 
 def test_charfn_normalization():
@@ -326,15 +334,52 @@ _NAN = float("nan")
         lambda m: terminal_variance_moments(np.inf, 1.0, m),
         lambda m: iv_moments_pois(0.02, np.inf, 1, m, 1.0),
         lambda m: cond_laplace_bk(0.5, -1.0, 0.02, m, 1.0),
+        lambda m: varswap_strike_discrete(m, 1e300, 1e-300),
+        lambda m: varswap_strike_discrete(m, 1e-300, 1e300),
     ],
     ids=["cmc-strike", "bs-sigma", "bs-forward", "bs-T", "series-h", "avg-moments-t",
          "phi-kappa", "phi-t", "charfn-T", "exact-T", "exact-strike", "varswap-cont-T",
          "varswap-disc-T", "pois-moments-mu", "laplace-pois-u",
          "forward-iv", "log-return-iv", "forward-v-next", "terminal-moments-v0-inf",
-         "pois-moments-v-t-inf", "laplace-bk-v0-negative"],
+         "pois-moments-v-t-inf", "laplace-bk-v0-negative", "varswap-disc-periods-overflow",
+         "varswap-disc-periods-underflow"],
 )
 def test_nan_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
+        call(CASE_PRESETS["III"].model)
+
+
+_INF = float("inf")
+_QEM = SchemeConfig("qem", n_steps=4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: bs_call_undiscounted(100.0, 0.2, _INF, 100.0),
+        lambda m: heston_charfn(1.0, m, _INF),
+        lambda m: price_european_exact(m, _INF, 100.0),
+        lambda m: price_european_exact(m, 1.0, _INF),
+        lambda m: varswap_strike_discrete(m, _INF, 1.0),
+        lambda m: varswap_strike_discrete(m, 1.0, _INF),
+        lambda m: terminal_variance_moments(m.v0, _INF, m),
+        lambda m: avg_variance_moments(m, _INF),
+        lambda m: series_coeffs(m, _INF),
+        lambda m: sample_terminal_variance(m.v0, _INF, m, RngStream(1)),
+        lambda m: phi(m.kappa, _INF, m.xi),
+        lambda m: price_european_cmc(m, _INF, 100.0, _QEM, 100, RngStream(1)),
+        lambda m: reconstruct_spot(m, _INF, _QEM, 100, RngStream(1)),
+        lambda m: varswap_fair_strike_mc(m, _INF, 4, _QEM, 100, RngStream(1)),
+    ],
+    ids=["bs-T", "charfn-T", "exact-T", "exact-strike", "varswap-disc-T", "varswap-disc-h",
+         "terminal-moments-t", "avg-moments-t", "series-h", "terminal-variance-h", "phi-t",
+         "cmc-qem-T", "spot-qem-T", "varswap-mc-qem-T"],
+)
+def test_infinite_scalar_inputs_raise_parameter_error(call):
+    # Each scalar time, step or strike is finite and positive; before one
+    # check owned the rule, +inf gave NaN, a raw OverflowError, a DomainError,
+    # numpy warnings or a returned value.
+    with pytest.raises(ParameterError, match="must be finite and positive"):
         call(CASE_PRESETS["III"].model)
 
 

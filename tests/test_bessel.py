@@ -5,8 +5,6 @@ import scipy.special as sp
 
 from hestonsim import bessel
 from hestonsim.bessel import (
-    _log_ive_series,
-    _log_ive_asymptotic,
     _peak_sums,
     bessel_ratio,
     log_bessel_iv_scaled,
@@ -54,15 +52,6 @@ def test_against_scipy(nu, z):
     ours = log_bessel_iv_scaled(nu, z)
     ref = np.log(sp.ive(nu, z))
     np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-300)
-
-
-def test_branch_overlap():
-    # Series and asymptotic branches agree on a band of moderate z.
-    zs = np.linspace(50.0, 120.0, 15)
-    for nu in (0.0, 0.5, 2.0, 5.0):
-        np.testing.assert_allclose(
-            _log_ive_series(nu, zs), _log_ive_asymptotic(nu, zs), rtol=1e-8
-        )
 
 
 def test_two_term_asymptotic_reference():

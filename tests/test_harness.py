@@ -109,6 +109,7 @@ def test_call_spec_rejects_varswap_only_settings_by_name():
         dict(n_periods=4.0),
         dict(n_periods=0),
         dict(strike=123.0),
+        dict(configs=(SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),)),
     ],
 )
 def test_spec_validation_varswaps(overrides):

@@ -82,7 +82,7 @@ def test_terminal_variance_moments_takes_an_array_of_times():
     assert mean[1] == terminal_variance_moments(m.v0, 2.0, m)[0]
     assert var[0] == terminal_variance_moments(m.v0, 0.5, m)[1]
     for t in (np.array([0.5, 0.0]), np.array([np.nan, 1.0])):
-        with pytest.raises(ParameterError, match="t must be positive"):
+        with pytest.raises(ParameterError, match="t must be finite and positive"):
             terminal_variance_moments(m.v0, t, m)
 
 

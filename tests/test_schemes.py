@@ -87,7 +87,7 @@ _MODE_POLICY = {
     "pois_ge": {"none": "sc", "price": "", "return_variance": "", "bogus": ""},
     "ig": {"none": "sc", "price": "", "return_variance": "", "bogus": ""},
     "qem": {"none": "scv", "price": "scv", "return_variance": "", "bogus": ""},
-    "pois_td": {"none": "scv", "price": "scv", "return_variance": "sv", "bogus": ""},
+    "pois_td": {"none": "scv", "price": "sc", "return_variance": "sv", "bogus": ""},
 }
 
 
@@ -547,6 +547,17 @@ def test_return_variance_correction_is_varswap_only(entry):
     }[entry]
     with pytest.raises(ConfigurationError, match="variance swaps"):
         run()
+
+
+def test_price_correction_of_pois_td_is_call_only():
+    # pois_td corrects a variance swap's return variance, not its price; with
+    # the price correction Case IV at N = 12 and 40k paths read -3.0 SE off the
+    # closed form.
+    preset = CASE_PRESETS["IV"]
+    cfg = SchemeConfig("pois_td", n_steps=4, martingale_mode="price")
+    with pytest.raises(ConfigurationError,
+                       match="^a variance swap under pois_td takes no correction 'price'$"):
+        varswap_fair_strike_mc(preset.model, preset.maturity, 4, cfg, 100, RngStream(1))
 
 
 def test_varswap_deterministic():
