@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the count and array argument checks."""
+"""Exception types shared across the package, and the count, scalar and array argument checks."""
 
 from numbers import Integral
 
@@ -31,6 +31,12 @@ def check_count(error: type[HestonSimError], name: str, value, low: int) -> None
         raise error(f"{name} must be integral, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}")
+
+
+def check_scalar(error: type[HestonSimError], name: str, x) -> None:
+    """Raise ``error`` unless ``x`` is a scalar: a number, a numpy scalar or a 0-d array."""
+    if np.ndim(x) != 0:
+        raise error(f"{name} must be a scalar, got shape {np.shape(x)}")
 
 
 def check_array(error: type[HestonSimError], name: str, x, *, positive: bool = False) -> np.ndarray:

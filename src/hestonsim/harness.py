@@ -14,12 +14,13 @@ import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .analytic import price_european_exact, varswap_strike_discrete
-from .errors import ConfigurationError, check_array, check_count
+from .errors import ConfigurationError, check_array, check_count, check_scalar
 from .model import ModelParams
 from .rng import RngStream
 from .schemes import (
@@ -60,6 +61,7 @@ class ExperimentSpec:
                 f"benchmark {self.benchmark!r} does not price a {self.product}")
         for count in (self.n_paths, self.n_reps):
             check_count(ConfigurationError, "n_paths and n_reps", count, 1)
+        check_scalar(ConfigurationError, "maturity", self.maturity)
         check_array(ConfigurationError, "maturity", self.maturity, positive=True)
         if not self.configs:
             raise ConfigurationError("at least one scheme config is required")
@@ -67,6 +69,7 @@ class ExperimentSpec:
         check_count(ConfigurationError, "seed", self.seed, 0)
         if self.product == "european_call":
             # A missing strike, None, converts to NaN and fails too.
+            check_scalar(ConfigurationError, "a call's strike", self.strike)
             check_array(ConfigurationError, "a call's strike", self.strike, positive=True)
             if self.n_periods is not None:
                 raise ConfigurationError("n_periods applies only to variance swaps")
@@ -127,7 +130,8 @@ def compute_benchmark(spec: ExperimentSpec) -> Optional[float]:
     return varswap_strike_discrete(spec.model, spec.maturity, spec.maturity / spec.n_periods)
 
 
-def _run_one_rep(spec: ExperimentSpec, cfg: SchemeConfig, config_idx: int, rep: int):
+def _run_one_rep(spec: ExperimentSpec, config_idx: int, rep: int):
+    cfg = spec.configs[config_idx]
     rng = RngStream(spec.seed, (config_idx, rep))
     t0 = time.perf_counter()
     if spec.product == "european_call":
@@ -142,22 +146,25 @@ def _run_one_rep(spec: ExperimentSpec, cfg: SchemeConfig, config_idx: int, rep: 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every scheme config over all repetitions and summarize.
 
-    Each (config, repetition) pair uses the random substream indexed by its
-    position, so the estimates are identical for any ``n_jobs``.  The reported
-    wall time covers all repetitions after the first (warm-up) one; with a
-    single repetition it is that repetition's time.
+    Repetition r of every config runs before repetition r + 1 of any, so
+    drift in the host's speed falls on all configs alike (on one thread pool
+    if ``n_jobs > 1``).  Each (config, repetition) pair uses the random
+    substream indexed by its position, so the estimates are identical for any
+    ``n_jobs``.  The reported wall time covers all repetitions after the first
+    (warm-up) one; with a single repetition it is that repetition's time.
     """
     benchmark = compute_benchmark(spec)
+    n_cfg = len(spec.configs)
+    cis, reps = zip(*[(ci, rep) for rep in range(spec.n_reps) for ci in range(n_cfg)])
+    run = partial(_run_one_rep, spec)
+    if spec.n_jobs > 1:
+        with ThreadPoolExecutor(max_workers=spec.n_jobs) as pool:
+            outcomes = list(pool.map(run, cis, reps))
+    else:
+        outcomes = list(map(run, cis, reps))
     rows = []
     for ci, cfg in enumerate(spec.configs):
-        reps = range(spec.n_reps)
-        if spec.n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=spec.n_jobs) as pool:
-                outcomes = list(pool.map(lambda r: _run_one_rep(spec, cfg, ci, r), reps))
-        else:
-            outcomes = [_run_one_rep(spec, cfg, ci, r) for r in reps]
-        estimates = np.array([est for est, _ in outcomes])
-        walls = [w for _, w in outcomes]
+        estimates, walls = zip(*outcomes[ci::n_cfg])
         wall = sum(walls[1:]) if spec.n_reps > 1 else walls[0]
         mean = float(np.mean(estimates))
         se = float(np.std(estimates))

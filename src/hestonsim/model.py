@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bessel import bessel_ratio, log_bessel_iv_scaled
-from .errors import DomainError, NumericalError, ParameterError, check_array, check_count
+from .errors import (DomainError, NumericalError, ParameterError, check_array, check_count,
+                     check_scalar)
 
 # Hyperbolic overflow bound: sinh/cosh of arguments beyond this are not
 # representable in double precision.
@@ -54,6 +55,8 @@ class ModelParams:
     q: float = 0.0
 
     def __post_init__(self):
+        for name in ("s0", "v0", "kappa", "theta", "xi", "rho", "r", "q"):
+            check_scalar(ParameterError, name, getattr(self, name))
         for name in ("s0", "v0", "kappa", "theta", "xi"):
             check_array(ParameterError, name, getattr(self, name), positive=True)
         if not -1.0 <= self.rho <= 1.0:

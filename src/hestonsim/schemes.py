@@ -368,25 +368,41 @@ def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: 
     return res.v_next, iv_tot, mart_tot
 
 
-def _batch_mean(n_paths: int, rng: RngStream, batch) -> tuple[float, float]:
+def _batch_mean(n_paths: int, rng: RngStream, batch):
     """Mean and standard error of ``batch(nb, substream)`` values over all paths.
 
-    Batch ``b`` holds up to ``BATCH_SIZE`` paths and draws from
-    ``rng.substream(b)``.  Batches merge in index order: the mean from the
-    running total, the squared deviations by the pairwise update of Chan,
-    Golub & LeVeque, which does not cancel when the mean dwarfs the spread.
+    ``batch`` returns ``nb`` values, for a float mean and SE, or a block of
+    ``m`` rows of them (an array or a sequence), for ``m`` of each.  Batch
+    ``b`` holds up to ``BATCH_SIZE`` paths and draws from ``rng.substream(b)``.
+    Batches merge in index order, each row summed as a contiguous 1-D array,
+    as it would be alone: the mean from the running total, the squared
+    deviations by the pairwise update of Chan, Golub & LeVeque, which does
+    not cancel when the mean dwarfs the spread.
     """
     check_count(ParameterError, "n_paths", n_paths, 1)
     n, total, m2 = 0, 0.0, 0.0
     for b, start in enumerate(range(0, n_paths, BATCH_SIZE)):
-        x = batch(min(BATCH_SIZE, n_paths - start), rng.substream(b))
-        nb, s = x.size, float(np.sum(x))
+        out = batch(min(BATCH_SIZE, n_paths - start), rng.substream(b))
+        # Tested on one element: np.ndim of a sequence of rows would copy it.
+        per_path = np.ndim(out[0]) == 0
+        rows = [out] if per_path else out
+        nb, s = len(rows[0]), np.array([np.sum(x) for x in rows])
         d = s / nb - (total / n if n else 0.0)
-        m2 += float(np.sum((x - s / nb) ** 2)) + d * d * n * nb / (n + nb)
-        n += nb
-        total += s
-    se = float(np.sqrt(m2 / (n - 1) / n)) if n > 1 else 0.0
-    return total / n, se
+        dev = np.array([np.sum((x - sx / nb) ** 2) for x, sx in zip(rows, s)])
+        m2 = m2 + (dev + d * d * n * nb / (n + nb))
+        n, total = n + nb, total + s
+    mean, se = total / n, np.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0 * total
+    return (float(mean[0]), float(se[0])) if per_path else (mean, se)
+
+
+def _forward_and_sigma(model: ModelParams, T: float, cfg: SchemeConfig, nb: int, rng: RngStream):
+    """Each path's conditional forward and residual volatility at ``T``: the call's recipe."""
+    v_end, iv, mart = simulate_terminal(model, T, cfg, nb, rng)
+    fwd = cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
+    # In place, so that a batch takes fewer fresh heap pages.
+    iv *= 1.0 - model.rho * model.rho
+    iv /= T
+    return fwd, np.sqrt(iv, out=iv)
 
 
 def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeConfig,
@@ -397,13 +413,8 @@ def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeC
     conditional forward and residual volatility, which suppresses the
     variance from the terminal asset draw.
     """
-    def batch(nb, sub):
-        v_end, iv, mart = simulate_terminal(model, T, cfg, nb, sub)
-        fwd = cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
-        sigma = np.sqrt((1.0 - model.rho * model.rho) * iv / T)
-        return bs_call_undiscounted(fwd, sigma, T, strike)
-
-    mean, se = _batch_mean(n_paths, rng, batch)
+    mean, se = _batch_mean(n_paths, rng, lambda nb, sub: bs_call_undiscounted(
+        *_forward_and_sigma(model, T, cfg, nb, sub), T, strike))
     disc = np.exp(-model.r * T)
     return disc * mean, disc * se
 
@@ -411,11 +422,8 @@ def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeC
 def reconstruct_spot(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,
                      rng: RngStream) -> tuple[float, float]:
     """Discounted average of conditional forwards; equals the spot in expectation."""
-    def batch(nb, sub):
-        v_end, iv, mart = simulate_terminal(model, T, cfg, nb, sub)
-        return cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
-
-    mean, se = _batch_mean(n_paths, rng, batch)
+    mean, se = _batch_mean(n_paths, rng,
+                           lambda nb, sub: _forward_and_sigma(model, T, cfg, nb, sub)[0])
     disc = np.exp((model.q - model.r) * T)
     return disc * mean, disc * se
 

@@ -41,10 +41,10 @@ from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
 from hestonsim.schemes import (
     SchemeConfig,
-    cond_forward,
+    _batch_mean,
+    _forward_and_sigma,
     sample_log_return,
     simulate_multifactor_terminal,
-    simulate_terminal,
     step_plan,
     step_pois_ge,
     varswap_fair_strike_mc,
@@ -169,13 +169,18 @@ _TD_FINEST = {"I": 80, "II": 120, "III": 8, "IV": 8}
 
 
 def _price_and_spot(model, T, strike, cfg, n_paths, rng):
-    """Conditional MC price and spot reconstruction from the same paths."""
-    v_end, iv, mart = simulate_terminal(model, T, cfg, n_paths, rng)
-    fwd = cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
-    sigma = np.sqrt((1.0 - model.rho * model.rho) * iv / T)
-    price = np.exp(-model.r * T) * bs_call_undiscounted(fwd, sigma, T, strike).mean()
-    spot = np.exp((model.q - model.r) * T) * fwd.mean()
-    return price, spot
+    """Conditional MC price and spot reconstruction from the same paths.
+
+    One two-row merge over the drivers' batches and per-path recipe: row 0
+    is what ``price_european_cmc`` averages, row 1 what ``reconstruct_spot``
+    averages.
+    """
+    def batch(nb, sub):
+        fwd, sigma = _forward_and_sigma(model, T, cfg, nb, sub)
+        return bs_call_undiscounted(fwd, sigma, T, strike), fwd
+
+    (price, spot), _ = _batch_mean(n_paths, rng, batch)
+    return np.exp(-model.r * T) * price, np.exp((model.q - model.r) * T) * spot
 
 
 def _run_rows(preset, configs, seed):

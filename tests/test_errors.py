@@ -4,7 +4,9 @@ import pytest
 from hestonsim.analytic import bs_call_undiscounted
 from hestonsim.distributions import sample_terminal_variance
 from hestonsim.errors import ConfigurationError, ParameterError, check_array
+from hestonsim.harness import ExperimentSpec
 from hestonsim.model import (
+    ModelParams,
     cond_laplace_bk,
     cond_laplace_pois,
     eta_moments,
@@ -14,7 +16,7 @@ from hestonsim.model import (
 )
 from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
-from hestonsim.schemes import cond_forward, sample_log_return
+from hestonsim.schemes import SchemeConfig, cond_forward, sample_log_return
 
 
 def test_check_array_returns_float_array():
@@ -81,3 +83,24 @@ def test_array_argument_rejects_inf_and_out_of_range(site, bad):
     call, low = _SITES[site]
     with pytest.raises(ParameterError, match="must be finite and"):
         call(np.inf if bad == "inf" else low)
+
+
+_FIELDS = dict(s0=100.0, v0=0.04, kappa=1.0, theta=0.04, xi=0.5, rho=-0.5, r=0.01, q=0.02)
+_SPEC = dict(case_label="III", model=CASE_PRESETS["III"].model, maturity=1.0,
+             product="european_call", configs=(SchemeConfig("pois_ge"),), n_paths=100,
+             n_reps=1, seed=0, strike=100.0)
+
+
+@pytest.mark.parametrize("name", [*_FIELDS, "maturity", "strike"])
+def test_array_valued_scalar_raises_typed_error(name):
+    # Every element is admissible, so only the shape is at fault; a numpy
+    # scalar and a 0-d array pass.
+    if name in _FIELDS:
+        make, error = (lambda **kw: ModelParams(**{**_FIELDS, **kw})), ParameterError
+    else:
+        make, error = (lambda **kw: ExperimentSpec(**{**_SPEC, **kw})), ConfigurationError
+    value = {**_FIELDS, **_SPEC}[name]
+    with pytest.raises(error, match=r"must be a scalar, got shape \(2,\)$"):
+        make(**{name: value * np.array([1.0, 0.9])})
+    make(**{name: np.float64(value)})
+    make(**{name: np.array(value)})

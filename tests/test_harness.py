@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hestonsim import harness
 from hestonsim.errors import ConfigurationError
 from hestonsim.harness import (
     CSV_COLUMNS,
@@ -175,11 +176,26 @@ def test_single_rep_has_zero_se():
 
 
 def test_run_experiment_deterministic_and_jobs_invariant():
-    a = run_experiment(_call_spec(n_reps=4))
-    b = run_experiment(_call_spec(n_reps=4))
-    c = run_experiment(_call_spec(n_reps=4, n_jobs=2))
-    assert a.rows[0].rep_estimates == b.rows[0].rep_estimates
-    assert a.rows[0].rep_estimates == c.rows[0].rep_estimates
+    configs = (SchemeConfig("pois_ge", trunc_k=1), SchemeConfig("ig"))
+    a = run_experiment(_call_spec(n_reps=4, configs=configs))
+    b = run_experiment(_call_spec(n_reps=4, configs=configs))
+    c = run_experiment(_call_spec(n_reps=4, configs=configs, n_jobs=2))
+    for i in range(2):
+        assert a.rows[i].rep_estimates == b.rows[i].rep_estimates
+        assert a.rows[i].rep_estimates == c.rows[i].rep_estimates
+
+
+def test_run_experiment_runs_repetition_major(monkeypatch):
+    keys = []
+    real = harness.price_european_cmc
+
+    def record(model, T, strike, cfg, n_paths, rng):
+        keys.append(rng.key)
+        return real(model, T, strike, cfg, n_paths, rng)
+
+    monkeypatch.setattr(harness, "price_european_cmc", record)
+    run_experiment(_call_spec(configs=(SchemeConfig("pois_ge"), SchemeConfig("ig")), n_paths=100))
+    assert keys == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
 
 
 def test_configs_use_distinct_substreams():

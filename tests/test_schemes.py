@@ -702,6 +702,19 @@ def test_standard_error_does_not_cancel():
     assert se == pytest.approx(x.std(ddof=1) / np.sqrt(x.size), rel=1e-6)
 
 
+@pytest.mark.parametrize("pack", [np.stack, tuple], ids=["array", "tuple"])
+@pytest.mark.parametrize("n_paths", [40_000, 12_000])
+def test_batch_mean_merges_each_row_of_a_block_alone(n_paths, pack):
+    # Row 0 is test_standard_error_does_not_cancel's 1e8 + N(0, 1).
+    def block(nb, sub):
+        return pack([1e8 + sub.gen.standard_normal(nb), sub.gen.exponential(size=nb)])
+
+    means, ses = _batch_mean(n_paths, RngStream(41), block)
+    for i in range(2):
+        alone = _batch_mean(n_paths, RngStream(41), lambda nb, sub: block(nb, sub)[i])
+        assert (means[i], ses[i]) == alone
+
+
 # Recorded estimates and SEs; any change to the draw sequence shows here.
 @pytest.mark.parametrize(
     "driver,cfg,expected",
@@ -717,15 +730,20 @@ def test_standard_error_does_not_cancel():
          (0.20839581846525201, 0.0005113286858477484)),
         ("varswap", SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),
          (0.21095297004582184, 0.0005232934023043918)),
+        ("spot", SchemeConfig("pois_ge", trunc_k=2), (100.03502380559523, 0.08049872301586924)),
+        ("spot", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
+         (100.01051761580354, 0.07999465152638736)),
     ],
     ids=["call-pois_ge", "call-ge", "call-ig", "call-qem", "call-pois_td",
-         "varswap-qem", "varswap-pois_td"],
+         "varswap-qem", "varswap-pois_td", "spot-pois_ge", "spot-qem"],
 )
 def test_draw_sequence_is_pinned(driver, cfg, expected):
     # 12 000 paths cross the batch boundary at BATCH_SIZE = 10 000.
+    p = CASE_PRESETS["III"]
     if driver == "call":
-        p = CASE_PRESETS["III"]
         out = price_european_cmc(p.model, p.maturity, p.strike, cfg, 12_000, RngStream(77))
+    elif driver == "spot":
+        out = reconstruct_spot(p.model, p.maturity, cfg, 12_000, RngStream(77))
     else:
         p = CASE_PRESETS["IV"]
         out = varswap_fair_strike_mc(p.model, p.maturity, 4, cfg, 12_000, RngStream(78))
