@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the count, scalar and array argument checks."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,9 +34,12 @@ def check_count(error: type[HestonSimError], name: str, value, low: int) -> None
 
 
 def check_scalar(error: type[HestonSimError], name: str, x) -> None:
-    """Raise ``error`` unless ``x`` is a scalar: a number, a numpy scalar or a 0-d array."""
+    """Raise ``error`` unless ``x`` is a real scalar: a real number, a numpy
+    real scalar or a 0-d real array (a string or a complex number is not)."""
     if np.ndim(x) != 0:
         raise error(f"{name} must be a scalar, got shape {np.shape(x)}")
+    if not (isinstance(x, Real) or np.asarray(x).dtype.kind in "biuf"):
+        raise error(f"{name} must be a real number, got {x!r}")
 
 
 def check_array(error: type[HestonSimError], name: str, x, *, positive: bool = False) -> np.ndarray:

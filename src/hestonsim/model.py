@@ -118,10 +118,14 @@ def terminal_variance_moments(v0, t, model: ModelParams):
     return mean, var
 
 
+def grid_variance_means(model: ModelParams, t: float, n: int) -> np.ndarray:
+    """CIR means of ``V_{i t/n}`` at a grid's right ends, ``i = 1..n``."""
+    return terminal_variance_moments(model.v0, t / n * np.arange(1, n + 1), model)[0]
+
+
 def grid_variance_mean(model: ModelParams, t: float, n: int) -> float:
     """Mean of ``(1/n) sum_{i=1..n} V_{i t/n}``: the CIR mean averaged over a grid's right ends."""
-    mean, _ = terminal_variance_moments(model.v0, t / n * np.arange(1, n + 1), model)
-    return float(np.mean(mean))
+    return float(np.mean(grid_variance_means(model, t, n)))
 
 
 def avg_variance_moments(model: ModelParams, t: float):

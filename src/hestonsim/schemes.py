@@ -28,6 +28,7 @@ scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +46,10 @@ from .errors import ConfigurationError, DomainError, ParameterError, check_array
 from .model import (
     ModelParams,
     SeriesCoeffs,
+    avg_variance_moments,
     check_factors,
     grid_variance_mean,
+    grid_variance_means,
     iv_moments_bessel,
     iv_moments_pois,
     iv_moments_truncated,
@@ -368,55 +371,139 @@ def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: 
     return res.v_next, iv_tot, mart_tot
 
 
+def _batch_moments(n_paths: int, rng: RngStream, batch):
+    """Path count, row means and co-moment matrix of ``batch(nb, substream)`` over all paths.
+
+    ``batch`` returns a block of ``m`` rows of ``nb`` values each (an array or
+    a sequence).  Batch ``b`` holds up to ``BATCH_SIZE`` paths and draws from
+    ``rng.substream(b)``.  Entry (i, j) of the (m, m) matrix sums the
+    products of rows i and j's deviations from their means.  Batches merge in
+    index order by the pairwise update of Chan, Golub & LeVeque, which does
+    not cancel when a mean dwarfs the spread.  Each row is summed as a
+    contiguous 1-D array, so a row's mean and squared deviations merge as they
+    would alone; each pair of rows takes one dot product of deviations.
+    """
+    check_count(ParameterError, "n_paths", n_paths, 1)
+    n, total, co = 0, 0.0, 0.0
+    for b, start in enumerate(range(0, n_paths, BATCH_SIZE)):
+        rows = batch(min(BATCH_SIZE, n_paths - start), rng.substream(b))
+        nb, s = len(rows[0]), np.array([np.add.reduce(x) for x in rows])
+        d = s / nb - (total / n if n else 0.0)
+        dev = [x - sx / nb for x, sx in zip(rows, s)]
+        c = np.empty((len(dev), len(dev)))
+        for i, di in enumerate(dev):
+            c[i, i] = np.add.reduce(di ** 2)
+            for j in range(i):
+                c[i, j] = c[j, i] = np.dot(di, dev[j])
+        co = co + (c + d[:, None] * d * n * nb / (n + nb))
+        n, total = n + nb, total + s
+    return n, total / n, co
+
+
 def _batch_mean(n_paths: int, rng: RngStream, batch):
     """Mean and standard error of ``batch(nb, substream)`` values over all paths.
 
     ``batch`` returns ``nb`` values, for a float mean and SE, or a block of
-    ``m`` rows of them (an array or a sequence), for ``m`` of each.  Batch
-    ``b`` holds up to ``BATCH_SIZE`` paths and draws from ``rng.substream(b)``.
-    Batches merge in index order, each row summed as a contiguous 1-D array,
-    as it would be alone: the mean from the running total, the squared
-    deviations by the pairwise update of Chan, Golub & LeVeque, which does
-    not cancel when the mean dwarfs the spread.
+    ``m`` rows of them (an array or a sequence), for ``m`` of each; the
+    batches merge as in :func:`_batch_moments`.
     """
-    check_count(ParameterError, "n_paths", n_paths, 1)
-    n, total, m2 = 0, 0.0, 0.0
-    for b, start in enumerate(range(0, n_paths, BATCH_SIZE)):
-        out = batch(min(BATCH_SIZE, n_paths - start), rng.substream(b))
+    per_path = False
+
+    def rows(nb, sub):
+        nonlocal per_path
+        out = batch(nb, sub)
         # Tested on one element: np.ndim of a sequence of rows would copy it.
         per_path = np.ndim(out[0]) == 0
-        rows = [out] if per_path else out
-        nb, s = len(rows[0]), np.array([np.sum(x) for x in rows])
-        d = s / nb - (total / n if n else 0.0)
-        dev = np.array([np.sum((x - sx / nb) ** 2) for x, sx in zip(rows, s)])
-        m2 = m2 + (dev + d * d * n * nb / (n + nb))
-        n, total = n + nb, total + s
-    mean, se = total / n, np.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0 * total
+        return [out] if per_path else out
+
+    n, mean, co = _batch_moments(n_paths, rng, rows)
+    se = np.sqrt(np.diag(co) / (n - 1) / n) if n > 1 else 0.0 * mean
     return (float(mean[0]), float(se[0])) if per_path else (mean, se)
 
 
+#: Below this share of S_11 S_22, the 2x2 determinant of the two call controls
+#: is rounding: the controls are collinear, as under ``qem`` at one step.
+_COLLINEAR = 1e-10
+
+
+def _controlled_mean(n: int, mean, co, x_mean) -> tuple[float, float]:
+    """Mean of row 0 regressed on rows 1 and 2, whose true means are ``x_mean``, and its SE.
+
+    ``(n, mean, co)`` is a :func:`_batch_moments` result.  The coefficient
+    is beta = S_XX^-1 S_XY, and the estimate ``mean[0] - beta . (mean[1:] -
+    x_mean)``.  Its SE is that of the regression residual, whose variance
+    divides by n - 1 - p for p controls.  Both controls are used when they
+    are not collinear and n >= 4, row 1 alone when n >= 3, and none below
+    that, so a residual always has a degree of freedom and an exact fit never
+    reports an SE of 0.
+    """
+    (y, x1, x2), ((syy, sy1, sy2), (_, s11, s12), (_, _, s22)) = mean.tolist(), co.tolist()
+    det = s11 * s22 - s12 * s12
+    if n >= 4 and det > _COLLINEAR * s11 * s22:
+        b1, b2, p = (s22 * sy1 - s12 * sy2) / det, (s11 * sy2 - s12 * sy1) / det, 2
+    elif n >= 3 and s11 > 0:
+        b1, b2, p = sy1 / s11, 0.0, 1
+    else:
+        b1, b2, p = 0.0, 0.0, 0
+    resid = syy - b1 * sy1 - b2 * sy2
+    se = math.sqrt(max(resid, 0.0) / (n - 1 - p) / n) if n > 1 else 0.0
+    return y - b1 * (x1 - x_mean[0]) - b2 * (x2 - x_mean[1]), se
+
+
+def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[float, float]:
+    """E V_T and E of the simulated integrated variance over [0, T] under ``cfg``'s own law.
+
+    Every kind reproduces the CIR mean of V at each grid date: all but
+    ``qem`` draw the exact transition, and both QE branches match the
+    conditional mean.  ``ge``, ``pois_ge`` and ``ig`` match the conditional
+    mean of each step's integrated variance and ``pois_td`` uses it, so
+    theirs is ``T`` times the average variance's mean.  ``qem``'s is the
+    trapezoid of the CIR means at its grid dates, the last of which is E V_T.
+    """
+    if cfg.kind == "qem":
+        means = grid_variance_means(model, T, cfg.n_steps)
+        v_t = float(means[-1])
+        return v_t, T / cfg.n_steps * (float(means.sum()) + 0.5 * (model.v0 - v_t))
+    v_t = float(terminal_variance_moments(model.v0, T, model)[0])
+    return v_t, T * float(avg_variance_moments(model, T)[0])
+
+
 def _forward_and_sigma(model: ModelParams, T: float, cfg: SchemeConfig, nb: int, rng: RngStream):
-    """Each path's conditional forward and residual volatility at ``T``: the call's recipe."""
+    """Each path's conditional forward and residual volatility at ``T`` (the call's
+    recipe), and the V_T and integrated variance they come from (its controls)."""
     v_end, iv, mart = simulate_terminal(model, T, cfg, nb, rng)
     fwd = cond_forward(model.s0, model.v0, v_end, iv, T, model, mart)
-    # In place, so that a batch takes fewer fresh heap pages.
-    iv *= 1.0 - model.rho * model.rho
-    iv /= T
-    return fwd, np.sqrt(iv, out=iv)
+    # In the correction's buffer, dead once the forward is formed, so that a
+    # batch takes fewer fresh heap pages.
+    sigma = np.multiply(iv, 1.0 - model.rho * model.rho, out=mart)
+    sigma /= T
+    return fwd, np.sqrt(sigma, out=sigma), v_end, iv
 
 
 def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeConfig,
                        n_paths: int, rng: RngStream) -> tuple[float, float]:
-    """Conditional Monte Carlo call price: average of closed-form prices.
+    """Conditional Monte Carlo call price with two control variates.
 
     Each path contributes the undiscounted Black-Scholes price at its
     conditional forward and residual volatility, which suppresses the
-    variance from the terminal asset draw.
+    variance from the terminal asset draw.  What remains comes from the
+    variance path, and V_T and the integrated variance explain most of it:
+    the price is regressed on both, whose means under the scheme's own law
+    are closed forms (:func:`_control_means`), so the estimate keeps each
+    scheme's expectation and bias (Glasserman 2004, *Monte Carlo Methods in
+    Financial Engineering*, 4.1).  The coefficient is pooled over all paths
+    from the batches' co-moments (:func:`_controlled_mean`).  Estimated
+    from the same paths, it adds a bias of order 1/n, against an SE of order
+    1/sqrt(n).  The returned SE is the regression residual's.
     """
-    mean, se = _batch_mean(n_paths, rng, lambda nb, sub: bs_call_undiscounted(
-        *_forward_and_sigma(model, T, cfg, nb, sub), T, strike))
+    def batch(nb, sub):
+        fwd, sigma, v_end, iv = _forward_and_sigma(model, T, cfg, nb, sub)
+        return bs_call_undiscounted(fwd, sigma, T, strike), v_end, iv
+
+    n, mean, co = _batch_moments(n_paths, rng, batch)
+    est, se = _controlled_mean(n, mean, co, _control_means(model, T, cfg))
     disc = np.exp(-model.r * T)
-    return disc * mean, disc * se
+    return disc * est, disc * se
 
 
 def reconstruct_spot(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,

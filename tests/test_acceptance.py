@@ -171,12 +171,14 @@ _TD_FINEST = {"I": 80, "II": 120, "III": 8, "IV": 8}
 def _price_and_spot(model, T, strike, cfg, n_paths, rng):
     """Conditional MC price and spot reconstruction from the same paths.
 
-    One two-row merge over the drivers' batches and per-path recipe: row 0
-    is what ``price_european_cmc`` averages, row 1 what ``reconstruct_spot``
-    averages.
+    One plain two-row merge over the drivers' batches and per-path recipe:
+    row 0 is the per-path price that ``price_european_cmc`` regresses on its
+    controls, row 1 what ``reconstruct_spot`` averages.  The criterion's
+    seeds, sizes and bounds predate the call controls, so its prices stay
+    uncontrolled.
     """
     def batch(nb, sub):
-        fwd, sigma = _forward_and_sigma(model, T, cfg, nb, sub)
+        fwd, sigma, _, _ = _forward_and_sigma(model, T, cfg, nb, sub)
         return bs_call_undiscounted(fwd, sigma, T, strike), fwd
 
     (price, spot), _ = _batch_mean(n_paths, rng, batch)

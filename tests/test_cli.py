@@ -363,12 +363,12 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
-    "bench_opt1": "8291dbe152a15252514e43ee8a50d41358dc39e155b22e3ef0f6b4af1c7aadde",
+    "bench_opt1": "a9d78ca5fca2baa1398769f9a3d37b995be5ec412fdce27bd18ba92476f94d58",
     "bench_var3": "dd1e90475a179ccaa31d442b2fc96bd75a751598ec3ed8c20cb52820b4b45382",
-    "bench_grid4": "50ce2265a35247bdd3a6c9a3284ade60e79e8cfa847fa2a04103bdc0bee8edf7",
-    "price_flags": "bde388c38b29857e515ce2758f57cba1a56d7054fb0c718cf3c11782aedbaba6",
-    "price_params": "2880838337c5cfdd7c209d58430cc7318b9c93b9c6c338ef2ce459e9cd396b44",
-    "price_grid": "025756d280d328b93e58ba25e0dffaa1db5d0ea02fbb2b53f33612780dc3cea1",
+    "bench_grid4": "d20d413c9e0c1cf6e1dd413f0349f73df582ba645285a57c9f48cad5a469ca09",
+    "price_flags": "da6abb7c360b120f3590575e4a5bf6ba6b763cf342842f178b859b14986e8593",
+    "price_params": "f45b09b0736b9a89e7e539ef4d8a17a3e600823d19a3f79b1eee3cbe9f554a74",
+    "price_grid": "d992aaaddd31c647b701d2412696b40e14e91bc1ee682a448740facb4b8c6d03",
     "varswap": "9a5956d4265cc9eedb973a4f6a6d2c7ed665ca0cd6c04a3f478109d7e2651ce0",
 }
 

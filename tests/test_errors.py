@@ -104,3 +104,17 @@ def test_array_valued_scalar_raises_typed_error(name):
         make(**{name: value * np.array([1.0, 0.9])})
     make(**{name: np.float64(value)})
     make(**{name: np.array(value)})
+
+
+@pytest.mark.parametrize("name,value", [("s0", "100"), ("rho", "0.5"), ("r", "0.01"),
+                                        ("maturity", "1"), ("strike", "100")])
+def test_non_real_scalar_raises_typed_error(name, value):
+    # A string converts to a number for the range check alone, so it must be
+    # refused first: s0 = '100' was kept as a string and priced.
+    if name in _FIELDS:
+        make, error = (lambda **kw: ModelParams(**{**_FIELDS, **kw})), ParameterError
+    else:
+        make, error = (lambda **kw: ExperimentSpec(**{**_SPEC, **kw})), ConfigurationError
+    with pytest.raises(error, match=f"must be a real number, got '{value}'$"):
+        make(**{name: value})
+    make(**{name: float(value)})

@@ -1,4 +1,5 @@
 import re
+import warnings
 import zlib
 from dataclasses import replace
 
@@ -641,6 +642,69 @@ def test_varswap_control_shrinks_the_standard_error(kind, n, ratio):
     assert abs(est - ref) <= 3.0 * ref_se
 
 
+_CONTROL_CONFIGS = [
+    SchemeConfig("pois_ge", trunc_k=1),
+    SchemeConfig("ge", trunc_k=1),
+    SchemeConfig("ig", n_steps=2),
+    SchemeConfig("qem", n_steps=4, martingale_mode="price"),
+    SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
+]
+
+
+@pytest.mark.parametrize("case", ["I", "III"])
+@pytest.mark.parametrize("cfg", _CONTROL_CONFIGS, ids=lambda c: c.kind)
+def test_call_controls_have_the_closed_form_means(cfg, case):
+    # The call control adds no bias only if each kind reproduces these means.
+    p = CASE_PRESETS[case]
+    v_end, iv, _ = simulate_terminal(p.model, p.maturity, cfg, 100_000, RngStream(85))
+    for x, mean in zip((v_end, iv), schemes._control_means(p.model, p.maturity, cfg)):
+        se = x.std(ddof=1) / np.sqrt(x.size)
+        assert abs(x.mean() - mean) <= 4.0 * se
+
+
+def _call_uncontrolled(model, T, strike, cfg, n_paths, rng):
+    """The call driver's estimate without its controls."""
+    mean, se = _batch_mean(n_paths, rng, lambda nb, sub: bs_call_undiscounted(
+        *schemes._forward_and_sigma(model, T, cfg, nb, sub)[:2], T, strike))
+    disc = np.exp(-model.r * T)
+    return disc * mean, disc * se
+
+
+@pytest.mark.parametrize("case", ["I", "III", "IV"])
+@pytest.mark.parametrize("cfg", [*_CONTROL_CONFIGS, SchemeConfig("qem", n_steps=1)],
+                         ids=lambda c: f"{c.kind}-{c.n_steps}")
+def test_call_control_shrinks_the_standard_error(cfg, case):
+    # On the same draws the controlled SE is below the plain one (qem at one
+    # step keeps V_T alone: its integrated variance is affine in V_T).
+    p = CASE_PRESETS[case]
+    est, se = price_european_cmc(p.model, p.maturity, p.strike, cfg, 12_000, RngStream(86))
+    ref, ref_se = _call_uncontrolled(p.model, p.maturity, p.strike, cfg, 12_000, RngStream(86))
+    assert se < ref_se
+    assert abs(est - ref) <= 3.0 * ref_se
+
+
+@pytest.mark.parametrize("case", ["III", "IV"])
+def test_controlled_call_matches_the_fourier_price(case):
+    p = CASE_PRESETS[case]
+    cfg = SchemeConfig("pois_ge", trunc_k=8)
+    est, se = price_european_cmc(p.model, p.maturity, p.strike, cfg, 40_000, RngStream(87))
+    assert abs(est - p.reference_price) <= 3.0 * se
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("cfg", [SchemeConfig("qem", n_steps=1), SchemeConfig("pois_ge")],
+                         ids=lambda c: c.kind)
+def test_controlled_call_with_few_paths_is_finite(cfg, n_paths):
+    # Too few paths for both controls fall back to fewer, never to an exact
+    # fit that would report an SE of 0.
+    p = CASE_PRESETS["III"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = price_european_cmc(p.model, p.maturity, p.strike, cfg, n_paths, RngStream(88))
+    assert np.isfinite(est) and np.isfinite(se)
+    assert (se > 0) == (n_paths > 1)
+
+
 # Case I with xi in {1.5, 2, 3} and Case IV with xi = 2, kappa = 0.1: gamma
 # draws of tiny shape underflow, so variance endpoints of exactly 0 occur.
 _ZERO_VARIANCE_CASES = {
@@ -719,13 +783,13 @@ def test_batch_mean_merges_each_row_of_a_block_alone(n_paths, pack):
 @pytest.mark.parametrize(
     "driver,cfg,expected",
     [
-        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.8189695154779795, 0.03611701498580161)),
-        ("call", SchemeConfig("ge", trunc_k=2), (6.8370515901196, 0.036449940991481904)),
-        ("call", SchemeConfig("ig", n_steps=2), (6.820309654284097, 0.03613768948073572)),
+        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.809848069185972, 0.017498960306711022)),
+        ("call", SchemeConfig("ge", trunc_k=2), (6.8356297765764635, 0.0177658985553376)),
+        ("call", SchemeConfig("ig", n_steps=2), (6.813145178415792, 0.017651393534084906)),
         ("call", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
-         (6.817403365330798, 0.037487185506780006)),
+         (6.808309199814721, 0.01733289760749365)),
         ("call", SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
-         (6.663400683446063, 0.03299020513549072)),
+         (6.650113331348277, 0.015341074377544303)),
         ("varswap", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
          (0.20839581846525201, 0.0005113286858477484)),
         ("varswap", SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),
