@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError, check_array
+from .errors import DomainError, NumericalError, ParameterError, check_array, check_scalar
 from .model import ModelParams, avg_variance_moments, check_factors
 
 # exp() overflows double precision beyond this exponent magnitude.
@@ -104,6 +104,8 @@ def price_european_exact_multifactor(models: list[ModelParams], T: float, strike
     C / (S e^{-qT}) = (1 - b) / 2 + (1 / pi) int_0^inf Re[e^{-iuk} (phi(u - i) / phi(-i)
     - b phi(u)) / (iu)] du, with k = ln(K/S) and b = K e^{-rT} / (S e^{-qT}).
     """
+    check_scalar(ParameterError, "T", T)
+    check_scalar(ParameterError, "strike", strike)
     check_array(ParameterError, "T and strike", (T, strike), positive=True)
     # For kappa < rho xi the little-trap g is 0/0 here; the NaN fails the check below.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -212,6 +214,8 @@ def varswap_strike_discrete(model: ModelParams, T: float, h: float) -> float:
     The continuous strike plus a closed-form adjustment in the monitoring
     step; the adjustment vanishes as h decreases to zero.
     """
+    check_scalar(ParameterError, "T", T)
+    check_scalar(ParameterError, "h", h)
     check_array(ParameterError, "T and h", (T, h), positive=True)
     n = T / h
     if not 0.5 <= n < np.inf or abs(n - round(n)) > 1e-9 * max(n, 1.0):

@@ -195,10 +195,13 @@ def _resolve_case(args, values: dict) -> tuple[str, ModelParams, float, float]:
 def _write_results(specs: list[ExperimentSpec], args) -> int:
     """Run ``specs`` in order and write all their results as one table text."""
     text = emit_table([run_experiment(spec) for spec in specs], args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     print(text, end="" if text.endswith("\n") else "\n")
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write output file {args.out}: {exc}") from exc
     return 0
 
 

@@ -42,7 +42,8 @@ from .distributions import (
     sample_std_gamma,
     sample_terminal_variance,
 )
-from .errors import ConfigurationError, DomainError, ParameterError, check_array, check_count
+from .errors import (ConfigurationError, DomainError, ParameterError, check_array, check_count,
+                     check_scalar)
 from .model import (
     ModelParams,
     SeriesCoeffs,
@@ -361,6 +362,7 @@ def cond_forward(s, v0, v_next, iv, h: float, model: ModelParams, mart_price=0.0
 def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,
                       rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate (V_T, total integrated variance, total price correction)."""
+    check_scalar(ParameterError, "T", T)
     check_count(ParameterError, "n_paths", n_paths, 0)
     check_call_config(cfg)
     iv_tot = np.zeros(n_paths)
@@ -374,14 +376,14 @@ def simulate_terminal(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: 
 def _batch_moments(n_paths: int, rng: RngStream, batch):
     """Path count, row means and co-moment matrix of ``batch(nb, substream)`` over all paths.
 
-    ``batch`` returns a block of ``m`` rows of ``nb`` values each (an array or
-    a sequence).  Batch ``b`` holds up to ``BATCH_SIZE`` paths and draws from
-    ``rng.substream(b)``.  Entry (i, j) of the (m, m) matrix sums the
-    products of rows i and j's deviations from their means.  Batches merge in
-    index order by the pairwise update of Chan, Golub & LeVeque, which does
-    not cancel when a mean dwarfs the spread.  Each row is summed as a
-    contiguous 1-D array, so a row's mean and squared deviations merge as they
-    would alone; each pair of rows takes one dot product of deviations.
+    ``batch`` returns a sequence of ``m`` 1-D rows of ``nb`` values each, one
+    per estimated quantity.  Batch ``b`` holds up to ``BATCH_SIZE`` paths and
+    draws from ``rng.substream(b)``.  Entry (i, j) of the (m, m) matrix sums
+    the products of rows i and j's deviations from their means.  Batches
+    merge in index order by the pairwise update of Chan, Golub & LeVeque,
+    which does not cancel when a mean dwarfs the spread.  Each row is summed
+    as a contiguous 1-D array, so a row's mean and squared deviations merge as
+    they would alone; each pair of rows takes one dot product of deviations.
     """
     check_count(ParameterError, "n_paths", n_paths, 1)
     n, total, co = 0, 0.0, 0.0
@@ -400,54 +402,37 @@ def _batch_moments(n_paths: int, rng: RngStream, batch):
     return n, total / n, co
 
 
-def _batch_mean(n_paths: int, rng: RngStream, batch):
-    """Mean and standard error of ``batch(nb, substream)`` values over all paths.
-
-    ``batch`` returns ``nb`` values, for a float mean and SE, or a block of
-    ``m`` rows of them (an array or a sequence), for ``m`` of each; the
-    batches merge as in :func:`_batch_moments`.
-    """
-    per_path = False
-
-    def rows(nb, sub):
-        nonlocal per_path
-        out = batch(nb, sub)
-        # Tested on one element: np.ndim of a sequence of rows would copy it.
-        per_path = np.ndim(out[0]) == 0
-        return [out] if per_path else out
-
-    n, mean, co = _batch_moments(n_paths, rng, rows)
-    se = np.sqrt(np.diag(co) / (n - 1) / n) if n > 1 else 0.0 * mean
-    return (float(mean[0]), float(se[0])) if per_path else (mean, se)
-
-
 #: Below this share of S_11 S_22, the 2x2 determinant of the two call controls
 #: is rounding: the controls are collinear, as under ``qem`` at one step.
 _COLLINEAR = 1e-10
 
 
 def _controlled_mean(n: int, mean, co, x_mean) -> tuple[float, float]:
-    """Mean of row 0 regressed on rows 1 and 2, whose true means are ``x_mean``, and its SE.
+    """Mean of row 0 regressed on the rows after it, whose true means are ``x_mean``, and its SE.
 
-    ``(n, mean, co)`` is a :func:`_batch_moments` result.  The coefficient
-    is beta = S_XX^-1 S_XY, and the estimate ``mean[0] - beta . (mean[1:] -
+    ``(n, mean, co)`` is a :func:`_batch_moments` result with no rows or two
+    after row 0, as ``x_mean`` holds no means or two.  The coefficient is
+    beta = S_XX^-1 S_XY, and the estimate ``mean[0] - beta . (mean[1:] -
     x_mean)``.  Its SE is that of the regression residual, whose variance
-    divides by n - 1 - p for p controls.  Both controls are used when they
-    are not collinear and n >= 4, row 1 alone when n >= 3, and none below
-    that, so a residual always has a degree of freedom and an exact fit never
+    divides by n - 1 - p for p controls; with none, the plain mean and
+    sqrt(S_YY / (n - 1) / n).  Both controls are used when they are not
+    collinear and n >= 4, the first alone when n >= 3, and none below that,
+    so a residual always has a degree of freedom and an exact fit never
     reports an SE of 0.
     """
-    (y, x1, x2), ((syy, sy1, sy2), (_, s11, s12), (_, _, s22)) = mean.tolist(), co.tolist()
-    det = s11 * s22 - s12 * s12
-    if n >= 4 and det > _COLLINEAR * s11 * s22:
-        b1, b2, p = (s22 * sy1 - s12 * sy2) / det, (s11 * sy2 - s12 * sy1) / det, 2
-    elif n >= 3 and s11 > 0:
-        b1, b2, p = sy1 / s11, 0.0, 1
-    else:
-        b1, b2, p = 0.0, 0.0, 0
-    resid = syy - b1 * sy1 - b2 * sy2
-    se = math.sqrt(max(resid, 0.0) / (n - 1 - p) / n) if n > 1 else 0.0
-    return y - b1 * (x1 - x_mean[0]) - b2 * (x2 - x_mean[1]), se
+    (est, *x), ((resid, *sy), *sx) = mean.tolist(), co.tolist()
+    beta = ()
+    if x_mean:
+        (_, s11, s12), (_, _, s22) = sx
+        det = s11 * s22 - s12 * s12
+        if n >= 4 and det > _COLLINEAR * s11 * s22:
+            beta = (s22 * sy[0] - s12 * sy[1]) / det, (s11 * sy[1] - s12 * sy[0]) / det
+        elif n >= 3 and s11 > 0:
+            beta = (sy[0] / s11,)
+    for b, x_bar, x_true, s_xy in zip(beta, x, x_mean, sy):
+        est -= b * (x_bar - x_true)
+        resid -= b * s_xy
+    return est, (math.sqrt(max(resid, 0.0) / (n - 1 - len(beta)) / n) if n > 1 else 0.0)
 
 
 def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[float, float]:
@@ -496,12 +481,14 @@ def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeC
     from the same paths, it adds a bias of order 1/n, against an SE of order
     1/sqrt(n).  The returned SE is the regression residual's.
     """
+    check_scalar(ParameterError, "T", T)
+    check_scalar(ParameterError, "strike", strike)
+
     def batch(nb, sub):
         fwd, sigma, v_end, iv = _forward_and_sigma(model, T, cfg, nb, sub)
         return bs_call_undiscounted(fwd, sigma, T, strike), v_end, iv
 
-    n, mean, co = _batch_moments(n_paths, rng, batch)
-    est, se = _controlled_mean(n, mean, co, _control_means(model, T, cfg))
+    est, se = _controlled_mean(*_batch_moments(n_paths, rng, batch), _control_means(model, T, cfg))
     disc = np.exp(-model.r * T)
     return disc * est, disc * se
 
@@ -509,10 +496,11 @@ def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeC
 def reconstruct_spot(model: ModelParams, T: float, cfg: SchemeConfig, n_paths: int,
                      rng: RngStream) -> tuple[float, float]:
     """Discounted average of conditional forwards; equals the spot in expectation."""
-    mean, se = _batch_mean(n_paths, rng,
-                           lambda nb, sub: _forward_and_sigma(model, T, cfg, nb, sub)[0])
+    check_scalar(ParameterError, "T", T)
+    est, se = _controlled_mean(*_batch_moments(
+        n_paths, rng, lambda nb, sub: _forward_and_sigma(model, T, cfg, nb, sub)[:1]), ())
     disc = np.exp((model.q - model.r) * T)
-    return disc * mean, disc * se
+    return disc * est, disc * se
 
 
 def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: SchemeConfig,
@@ -539,6 +527,7 @@ def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: Sc
     scheme's own expectation, and the returned standard error is that of the
     controlled values.
     """
+    check_scalar(ParameterError, "T", T)
     check_varswap_config(cfg, n_periods)
     plan = step_plan(model, T / n_periods, cfg)
     resid = 1.0 - model.rho * model.rho
@@ -551,9 +540,9 @@ def varswap_fair_strike_mc(model: ModelParams, T: float, n_periods: int, cfg: Sc
             m = _log_return_mean(v, res.v_next, res.iv, plan.h, model, res.mart_price)
             rv += m * m + resid * res.iv + res.mart_retvar
             vsum += res.v_next
-        return rv / T - vsum / n_periods + grid_mean
+        return (rv / T - vsum / n_periods + grid_mean,)
 
-    return _batch_mean(n_paths, rng, batch)
+    return _controlled_mean(*_batch_moments(n_paths, rng, batch), ())
 
 
 def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: int,
@@ -569,6 +558,7 @@ def simulate_multifactor_terminal(models: list[ModelParams], T: float, trunc_k: 
     Returns ``(log_return, cond_forward, total_sigma)`` arrays.
     """
     head = check_factors(models)
+    check_scalar(ParameterError, "T", T)
     cfg = SchemeConfig("pois_ge", trunc_k=trunc_k)
     # Running sums over the factors: IV, variance drift, residual variance and
     # forward exponent; each starts at 0.0 and becomes an array on the first add.

@@ -41,7 +41,7 @@ from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
 from hestonsim.schemes import (
     SchemeConfig,
-    _batch_mean,
+    _batch_moments,
     _forward_and_sigma,
     sample_log_return,
     simulate_multifactor_terminal,
@@ -181,7 +181,7 @@ def _price_and_spot(model, T, strike, cfg, n_paths, rng):
         fwd, sigma, _, _ = _forward_and_sigma(model, T, cfg, nb, sub)
         return bs_call_undiscounted(fwd, sigma, T, strike), fwd
 
-    (price, spot), _ = _batch_mean(n_paths, rng, batch)
+    _, (price, spot), _ = _batch_moments(n_paths, rng, batch)
     return np.exp(-model.r * T) * price, np.exp((model.q - model.r) * T) * spot
 
 

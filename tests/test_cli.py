@@ -160,6 +160,17 @@ def test_price_writes_out_file(tmp_path, capsys):
     assert dest.read_text() == out
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_one_error_line_after_the_table(tmp_path, capsys, target):
+    # The table reaches stdout before the write fails, so the run is not lost.
+    dest = tmp_path / "missing" / "table.csv" if target == "missing-dir" else tmp_path
+    code, out, err = _run(capsys, "price", "--case", "III", "--scheme", "pois-ge",
+                          "--paths", "200", "--reps", "2", "--out", str(dest))
+    assert code == 1
+    assert out.startswith("case,scheme,N,K,paths,") and out.count("\n") == 2
+    assert err.startswith(f"error: cannot write output file {dest}: ") and err.count("\n") == 1
+
+
 def test_varswap_smoke(capsys):
     code, out, _ = _run(capsys, "varswap", "--case", "IV", "--scheme", "pois-td",
                         "--periods", "4", "--paths", "2000", "--reps", "2")

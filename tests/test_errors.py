@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hestonsim.analytic import bs_call_undiscounted
+from hestonsim.analytic import bs_call_undiscounted, price_european_exact, varswap_strike_discrete
 from hestonsim.distributions import sample_terminal_variance
 from hestonsim.errors import ConfigurationError, ParameterError, check_array
 from hestonsim.harness import ExperimentSpec
@@ -16,7 +16,16 @@ from hestonsim.model import (
 )
 from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
-from hestonsim.schemes import SchemeConfig, cond_forward, sample_log_return
+from hestonsim.schemes import (
+    SchemeConfig,
+    cond_forward,
+    price_european_cmc,
+    reconstruct_spot,
+    sample_log_return,
+    simulate_multifactor_terminal,
+    simulate_terminal,
+    varswap_fair_strike_mc,
+)
 
 
 def test_check_array_returns_float_array():
@@ -89,32 +98,53 @@ _FIELDS = dict(s0=100.0, v0=0.04, kappa=1.0, theta=0.04, xi=0.5, rho=-0.5, r=0.0
 _SPEC = dict(case_label="III", model=CASE_PRESETS["III"].model, maturity=1.0,
              product="european_call", configs=(SchemeConfig("pois_ge"),), n_paths=100,
              n_reps=1, seed=0, strike=100.0)
+_CALL = SchemeConfig("pois_ge")
+_SWAP = SchemeConfig("pois_td", n_steps=2, martingale_mode="return_variance")
+# Each public driver and oracle argument that takes one scalar T, strike or h,
+# with an admissible value.
+_DRIVER_SCALARS = {
+    "cmc-T": (lambda x: price_european_cmc(_M, x, 100.0, _CALL, 2, RngStream(1)), 1.0),
+    "cmc-strike": (lambda x: price_european_cmc(_M, 1.0, x, _CALL, 2, RngStream(1)), 100.0),
+    "spot-T": (lambda x: reconstruct_spot(_M, x, _CALL, 2, RngStream(1)), 1.0),
+    "terminal-T": (lambda x: simulate_terminal(_M, x, _CALL, 2, RngStream(1)), 1.0),
+    "varswap-mc-T": (lambda x: varswap_fair_strike_mc(_M, x, 2, _SWAP, 2, RngStream(1)), 1.0),
+    "multifactor-T": (lambda x: simulate_multifactor_terminal([_M], x, 0, 2, RngStream(1)), 1.0),
+    "exact-T": (lambda x: price_european_exact(_M, x, 100.0), 1.0),
+    "exact-strike": (lambda x: price_european_exact(_M, 1.0, x), 100.0),
+    "varswap-discrete-T": (lambda x: varswap_strike_discrete(_M, x, 0.25), 1.0),
+    "varswap-discrete-h": (lambda x: varswap_strike_discrete(_M, 1.0, x), 0.25),
+}
 
 
-@pytest.mark.parametrize("name", [*_FIELDS, "maturity", "strike"])
+def _scalar_site(name):
+    """The call that takes ``name``'s value alone, and the error type it raises."""
+    if name in _FIELDS:
+        return (lambda x: ModelParams(**{**_FIELDS, name: x})), ParameterError
+    if name in _SPEC:
+        return (lambda x: ExperimentSpec(**{**_SPEC, name: x})), ConfigurationError
+    return _DRIVER_SCALARS[name][0], ParameterError
+
+
+@pytest.mark.parametrize("name", [*_FIELDS, "maturity", "strike", *_DRIVER_SCALARS])
 def test_array_valued_scalar_raises_typed_error(name):
     # Every element is admissible, so only the shape is at fault; a numpy
     # scalar and a 0-d array pass.
-    if name in _FIELDS:
-        make, error = (lambda **kw: ModelParams(**{**_FIELDS, **kw})), ParameterError
-    else:
-        make, error = (lambda **kw: ExperimentSpec(**{**_SPEC, **kw})), ConfigurationError
-    value = {**_FIELDS, **_SPEC}[name]
+    make, error = _scalar_site(name)
+    value = {**_FIELDS, **_SPEC, **{k: v for k, (_, v) in _DRIVER_SCALARS.items()}}[name]
     with pytest.raises(error, match=r"must be a scalar, got shape \(2,\)$"):
-        make(**{name: value * np.array([1.0, 0.9])})
-    make(**{name: np.float64(value)})
-    make(**{name: np.array(value)})
+        make(value * np.array([1.0, 0.9]))
+    make(np.float64(value))
+    make(np.array(value))
 
 
 @pytest.mark.parametrize("name,value", [("s0", "100"), ("rho", "0.5"), ("r", "0.01"),
-                                        ("maturity", "1"), ("strike", "100")])
+                                        ("maturity", "1"), ("strike", "100"),
+                                        *((k, str(v)) for k, (_, v) in _DRIVER_SCALARS.items())])
 def test_non_real_scalar_raises_typed_error(name, value):
     # A string converts to a number for the range check alone, so it must be
-    # refused first: s0 = '100' was kept as a string and priced.
-    if name in _FIELDS:
-        make, error = (lambda **kw: ModelParams(**{**_FIELDS, **kw})), ParameterError
-    else:
-        make, error = (lambda **kw: ExperimentSpec(**{**_SPEC, **kw})), ConfigurationError
+    # refused first: s0 = '100' was kept as a string and priced, and so was a
+    # call driver's strike.
+    make, error = _scalar_site(name)
     with pytest.raises(error, match=f"must be a real number, got '{value}'$"):
-        make(**{name: value})
-    make(**{name: float(value)})
+        make(value)
+    make(float(value))

@@ -30,7 +30,8 @@ from hestonsim.presets import CASE_PRESETS
 from hestonsim.rng import RngStream
 from hestonsim.schemes import (
     SchemeConfig,
-    _batch_mean,
+    _batch_moments,
+    _controlled_mean,
     _gamma_from_moments,
     check_call_config,
     check_varswap_config,
@@ -579,9 +580,9 @@ def _varswap_sampled_returns(model, T, n_periods, cfg, n_paths, rng):
             z = sub.gen.standard_normal(nb)
             lr = sample_log_return(v, res.v_next, res.iv, plan.h, model, z, res.mart_price)
             rv += lr * lr + res.mart_retvar
-        return rv / T
+        return (rv / T,)
 
-    return _batch_mean(n_paths, rng, batch)
+    return _controlled_mean(*_batch_moments(n_paths, rng, batch), ())
 
 
 @pytest.mark.parametrize("cfg", [
@@ -624,9 +625,9 @@ def _varswap_uncontrolled(model, T, n_periods, cfg, n_paths, rng):
         for v, res in schemes._steps(plan, nb, sub):
             m = schemes._log_return_mean(v, res.v_next, res.iv, plan.h, model, res.mart_price)
             rv += m * m + (1.0 - model.rho**2) * res.iv + res.mart_retvar
-        return rv / T
+        return (rv / T,)
 
-    return _batch_mean(n_paths, rng, batch)
+    return _controlled_mean(*_batch_moments(n_paths, rng, batch), ())
 
 
 @pytest.mark.parametrize("n,ratio", [(12, 0.4), (52, 0.2)])
@@ -664,8 +665,11 @@ def test_call_controls_have_the_closed_form_means(cfg, case):
 
 def _call_uncontrolled(model, T, strike, cfg, n_paths, rng):
     """The call driver's estimate without its controls."""
-    mean, se = _batch_mean(n_paths, rng, lambda nb, sub: bs_call_undiscounted(
-        *schemes._forward_and_sigma(model, T, cfg, nb, sub)[:2], T, strike))
+    def batch(nb, sub):
+        fwd, sigma, _, _ = schemes._forward_and_sigma(model, T, cfg, nb, sub)
+        return (bs_call_undiscounted(fwd, sigma, T, strike),)
+
+    mean, se = _controlled_mean(*_batch_moments(n_paths, rng, batch), ())
     disc = np.exp(-model.r * T)
     return disc * mean, disc * se
 
@@ -691,16 +695,31 @@ def test_controlled_call_matches_the_fourier_price(case):
     assert abs(est - p.reference_price) <= 3.0 * se
 
 
+_FEW_PATH_DRIVERS = {
+    "call": lambda p, cfg, n, rng: price_european_cmc(p.model, p.maturity, p.strike, cfg, n, rng),
+    "spot": lambda p, cfg, n, rng: reconstruct_spot(p.model, p.maturity, cfg, n, rng),
+    "varswap": lambda p, cfg, n, rng: varswap_fair_strike_mc(p.model, p.maturity, cfg.n_steps,
+                                                             cfg, n, rng),
+}
+
+
 @pytest.mark.parametrize("n_paths", [1, 2, 3])
-@pytest.mark.parametrize("cfg", [SchemeConfig("qem", n_steps=1), SchemeConfig("pois_ge")],
-                         ids=lambda c: c.kind)
-def test_controlled_call_with_few_paths_is_finite(cfg, n_paths):
-    # Too few paths for both controls fall back to fewer, never to an exact
-    # fit that would report an SE of 0.
+@pytest.mark.parametrize("driver,cfg", [
+    pytest.param("call", SchemeConfig("qem", n_steps=1), id="qem"),
+    pytest.param("call", SchemeConfig("pois_ge"), id="pois_ge"),
+    pytest.param("spot", SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
+                 id="spot-pois_td"),
+    pytest.param("varswap", SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),
+                 id="varswap-pois_td"),
+])
+def test_controlled_call_with_few_paths_is_finite(driver, cfg, n_paths):
+    # Too few paths for both call controls fall back to fewer, never to an
+    # exact fit that would report an SE of 0.  The spot and the variance swap
+    # take the same finish with no control.
     p = CASE_PRESETS["III"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est, se = price_european_cmc(p.model, p.maturity, p.strike, cfg, n_paths, RngStream(88))
+        est, se = _FEW_PATH_DRIVERS[driver](p, cfg, n_paths, RngStream(88))
     assert np.isfinite(est) and np.isfinite(se)
     assert (se > 0) == (n_paths > 1)
 
@@ -758,9 +777,9 @@ def test_standard_error_does_not_cancel():
 
     def batch(nb, sub):
         draws.append(1e8 + sub.gen.standard_normal(nb))
-        return draws[-1]
+        return draws[-1:]
 
-    mean, se = _batch_mean(40_000, RngStream(41), batch)
+    mean, se = _controlled_mean(*_batch_moments(40_000, RngStream(41), batch), ())
     x = np.concatenate(draws)
     assert mean == pytest.approx(x.mean(), rel=1e-15)
     assert se == pytest.approx(x.std(ddof=1) / np.sqrt(x.size), rel=1e-6)
@@ -768,15 +787,15 @@ def test_standard_error_does_not_cancel():
 
 @pytest.mark.parametrize("pack", [np.stack, tuple], ids=["array", "tuple"])
 @pytest.mark.parametrize("n_paths", [40_000, 12_000])
-def test_batch_mean_merges_each_row_of_a_block_alone(n_paths, pack):
+def test_batch_moments_merges_each_row_of_a_block_alone(n_paths, pack):
     # Row 0 is test_standard_error_does_not_cancel's 1e8 + N(0, 1).
     def block(nb, sub):
         return pack([1e8 + sub.gen.standard_normal(nb), sub.gen.exponential(size=nb)])
 
-    means, ses = _batch_mean(n_paths, RngStream(41), block)
+    n, means, co = _batch_moments(n_paths, RngStream(41), block)
     for i in range(2):
-        alone = _batch_mean(n_paths, RngStream(41), lambda nb, sub: block(nb, sub)[i])
-        assert (means[i], ses[i]) == alone
+        alone = _batch_moments(n_paths, RngStream(41), lambda nb, sub: block(nb, sub)[i:i + 1])
+        assert (n, means[i], co[i, i]) == (alone[0], alone[1][0], alone[2][0, 0])
 
 
 # Recorded estimates and SEs; any change to the draw sequence shows here.
