@@ -36,6 +36,8 @@ def check_count(error: type[HestonSimError], name: str, value, low: int) -> None
 def check_scalar(error: type[HestonSimError], name: str, x) -> None:
     """Raise ``error`` unless ``x`` is a real scalar: a real number, a numpy
     real scalar or a 0-d real array (a string or a complex number is not)."""
+    if type(x) is float or type(x) is int:
+        return
     if np.ndim(x) != 0:
         raise error(f"{name} must be a scalar, got shape {np.shape(x)}")
     if not (isinstance(x, Real) or np.asarray(x).dtype.kind in "biuf"):
@@ -46,11 +48,17 @@ def check_array(error: type[HestonSimError], name: str, x, *, positive: bool = F
     """Return ``x`` as a float array; raise ``error`` unless every element is
     finite and >= 0 (> 0 if ``positive``).
 
-    One min and one max decide it: both propagate NaN, and an empty array passes.
+    One min and one max decide it: both propagate NaN, and an empty array
+    passes.  A Python or numpy float or int is its own min and max.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size:
+    if isinstance(x, (float, int)):
+        lo = hi = float(x)
+        x = np.asarray(lo)
+    else:
+        x = np.asarray(x, dtype=float)
+        if not x.size:
+            return x
         lo, hi = x.min(), x.max()
-        if not ((lo > 0.0 if positive else lo >= 0.0) and hi < np.inf):
-            raise error(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+    if not ((lo > 0.0 if positive else lo >= 0.0) and hi < np.inf):
+        raise error(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
     return x

@@ -402,55 +402,97 @@ def _batch_moments(n_paths: int, rng: RngStream, batch):
     return n, total / n, co
 
 
-#: Below this share of S_11 S_22, the 2x2 determinant of the two call controls
-#: is rounding: the controls are collinear, as under ``qem`` at one step.
+#: Below this share of its own co-moment S_jj, a control's residual after the
+#: controls already taken is rounding: it is collinear with them, as V_T and
+#: the integrated variance are under ``qem`` at one step.
 _COLLINEAR = 1e-10
 
 
 def _controlled_mean(n: int, mean, co, x_mean) -> tuple[float, float]:
     """Mean of row 0 regressed on the rows after it, whose true means are ``x_mean``, and its SE.
 
-    ``(n, mean, co)`` is a :func:`_batch_moments` result with no rows or two
-    after row 0, as ``x_mean`` holds no means or two.  The coefficient is
-    beta = S_XX^-1 S_XY, and the estimate ``mean[0] - beta . (mean[1:] -
-    x_mean)``.  Its SE is that of the regression residual, whose variance
+    ``(n, mean, co)`` is a :func:`_batch_moments` result with one row per
+    entry of ``x_mean`` after row 0.  The estimate is ``mean[0] - beta .
+    (mean[P] - x_mean[P])`` with beta = S_PP^-1 S_PY over the controls P
+    taken, and its SE that of the regression residual, whose variance
     divides by n - 1 - p for p controls; with none, the plain mean and
-    sqrt(S_YY / (n - 1) / n).  Both controls are used when they are not
-    collinear and n >= 4, the first alone when n >= 3, and none below that,
-    so a residual always has a degree of freedom and an exact fit never
-    reports an SE of 0.
+    sqrt(S_YY / (n - 1) / n).
+
+    One Gauss-Jordan sweep, in Python floats, takes the controls in order.
+    Each control taken is eliminated from row 0, from the rows after it and
+    from their mean offsets, which leaves their Schur complements: S_YY
+    becomes the residual sum of squares and row 0's offset the estimate.  A
+    control whose residual S_jj is at most ``_COLLINEAR`` of its own S_jj is
+    skipped, and no control is added once n < p + 3, so a residual always
+    has a degree of freedom and an exact fit never reports an SE of 0.
     """
-    (est, *x), ((resid, *sy), *sx) = mean.tolist(), co.tolist()
-    beta = ()
-    if x_mean:
-        (_, s11, s12), (_, _, s22) = sx
-        det = s11 * s22 - s12 * s12
-        if n >= 4 and det > _COLLINEAR * s11 * s22:
-            beta = (s22 * sy[0] - s12 * sy[1]) / det, (s11 * sy[1] - s12 * sy[0]) / det
-        elif n >= 3 and s11 > 0:
-            beta = (sy[0] / s11,)
-    for b, x_bar, x_true, s_xy in zip(beta, x, x_mean, sy):
-        est -= b * (x_bar - x_true)
-        resid -= b * s_xy
-    return est, (math.sqrt(max(resid, 0.0) / (n - 1 - len(beta)) / n) if n > 1 else 0.0)
+    a, diag = co.tolist(), co.diagonal().tolist()
+    off = mean.tolist()
+    for j, x_true in enumerate(x_mean, 1):
+        off[j] -= x_true
+    p = 0
+    for k in range(1, len(a)):
+        if n < p + 3:
+            break
+        pivot = a[k][k]
+        if not pivot > _COLLINEAR * diag[k]:
+            continue
+        rest = [0, *range(k + 1, len(a))]
+        for i in rest:
+            f = a[i][k] / pivot
+            for j in rest:
+                a[i][j] -= f * a[k][j]
+            off[i] -= f * off[k]
+        p += 1
+    return off[0], (math.sqrt(max(a[0][0], 0.0) / (n - 1 - p) / n) if n > 1 else 0.0)
 
 
-def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[float, float]:
-    """E V_T and E of the simulated integrated variance over [0, T] under ``cfg``'s own law.
+def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[float, ...]:
+    """Means of V_T, the simulated integrated variance I over [0, T], V_T^2, V_T I
+    and I^2 under ``cfg``'s own law.
 
-    Every kind reproduces the CIR mean of V at each grid date: all but
-    ``qem`` draw the exact transition, and both QE branches match the
-    conditional mean.  ``ge``, ``pois_ge`` and ``ig`` match the conditional
-    mean of each step's integrated variance and ``pois_td`` uses it, so
-    theirs is ``T`` times the average variance's mean.  ``qem``'s is the
-    trapezoid of the CIR means at its grid dates, the last of which is E V_T.
+    Every kind reproduces the CIR mean and variance of V at each grid date:
+    all but ``qem`` draw the exact transition, and both QE branches match the
+    first two conditional moments, which are affine in the start.  So under
+    ``qem`` the grid values have the CIR covariances, M_jk = m_j m_k +
+    e^(-kappa |t_j - t_k|) Var V_min(j, k), and all three second moments are
+    quadratic forms of M in e_N and the trapezoid weights w.  ``ge``,
+    ``pois_ge`` and ``ig`` match the conditional mean and variance of each
+    step's integrated variance, so theirs are the exact process's: T^2 times
+    the average variance's second moment, and E V_T E I plus the covariance
+    of V_T with each V_s, e^(-kappa (T - s)) Var V_s, integrated over [0, T].
+    ``pois_td`` takes each step's conditional mean given the Poisson count,
+    so its I^2 lacks the expected conditional variance of every step.
     """
+    kappa, v0, n = model.kappa, model.v0, cfg.n_steps
+    h = T / n
     if cfg.kind == "qem":
-        means = grid_variance_means(model, T, cfg.n_steps)
-        v_t = float(means[-1])
-        return v_t, T / cfg.n_steps * (float(means.sum()) + 0.5 * (model.v0 - v_t))
-    v_t = float(terminal_variance_moments(model.v0, T, model)[0])
-    return v_t, T * float(avg_variance_moments(model, T)[0])
+        m, var = terminal_variance_moments(v0, h * np.arange(1, n + 1), model)
+        m, var = np.append(v0, m), np.append(0.0, var)
+        k = np.arange(n + 1)
+        gap = np.abs(k[:, None] - k)
+        cov = m[:, None] * m + np.exp(-kappa * h * gap) * var[np.minimum.outer(k, k)]
+        w = np.full(n + 1, h)
+        w[[0, -1]] *= 0.5
+        cov_w = cov @ w
+        return float(m[-1]), float(m @ w), float(cov[-1, -1]), float(cov_w[-1]), float(w @ cov_w)
+    v_t, var_t = terminal_variance_moments(v0, T, model)
+    a_mean, a_var = avg_variance_moments(model, T)
+    v_t, iv = float(v_t), T * float(a_mean)
+    e = math.exp(-kappa * T)
+    cross = model.xi ** 2 / kappa * (v0 * e * (T - (1.0 - e) / kappa)
+                                      + 0.5 * model.theta * ((1.0 - e * e) / kappa - 2.0 * T * e))
+    iv2 = T * T * float(a_var + a_mean * a_mean)
+    if cfg.kind == "pois_td":
+        # Step k from t_k drops E[Var(I_k | V_k, V_k+1, mu_k)] = (m_k + m_k+1) var_x
+        # + (delta/2 + 2 E mu_k) var_z, with E mu_k = phi_h e^(-kappa h/2) m_k / 2;
+        # s sums the CIR means m_k over k = 0..n.
+        c = series_coeffs(model, h)
+        means = grid_variance_means(model, T, n)
+        m_n, s = float(means[-1]), v0 + float(means.sum())
+        iv2 -= (c.var_x * (2.0 * s - v0 - m_n) + c.var_z * (
+            0.5 * n * model.delta + phi(kappa, h, model.xi) * math.exp(-0.5 * kappa * h) * (s - m_n)))
+    return v_t, iv, float(var_t) + v_t * v_t, v_t * iv + cross, iv2
 
 
 def _forward_and_sigma(model: ModelParams, T: float, cfg: SchemeConfig, nb: int, rng: RngStream):
@@ -467,26 +509,32 @@ def _forward_and_sigma(model: ModelParams, T: float, cfg: SchemeConfig, nb: int,
 
 def price_european_cmc(model: ModelParams, T: float, strike: float, cfg: SchemeConfig,
                        n_paths: int, rng: RngStream) -> tuple[float, float]:
-    """Conditional Monte Carlo call price with two control variates.
+    """Conditional Monte Carlo call price with five control variates.
 
     Each path contributes the undiscounted Black-Scholes price at its
     conditional forward and residual volatility, which suppresses the
     variance from the terminal asset draw.  What remains comes from the
-    variance path, and V_T and the integrated variance explain most of it:
-    the price is regressed on both, whose means under the scheme's own law
-    are closed forms (:func:`_control_means`), so the estimate keeps each
-    scheme's expectation and bias (Glasserman 2004, *Monte Carlo Methods in
-    Financial Engineering*, 4.1).  The coefficient is pooled over all paths
-    from the batches' co-moments (:func:`_controlled_mean`).  Estimated
-    from the same paths, it adds a bias of order 1/n, against an SE of order
-    1/sqrt(n).  The returned SE is the regression residual's.
+    variance path, and the full quadratic in V_T and the integrated variance
+    I explains most of it: the price is regressed on V_T, I, V_T^2, V_T I and
+    I^2, whose means under the scheme's own law are closed forms
+    (:func:`_control_means`), so the estimate keeps each scheme's expectation
+    and bias (Glasserman 2004, *Monte Carlo Methods in Financial
+    Engineering*, 4.1).  The coefficients are pooled over all paths from the
+    batches' co-moments (:func:`_controlled_mean`).  Estimated from the same
+    paths, they add a bias of order 1/n, against an SE of order 1/sqrt(n),
+    and the heavier the tails of V, the larger it is.  At Case IV it is small
+    (``pois_ge`` K=8, +0.006 at 2k paths, 0.3 of the per-repetition spread),
+    but at Case I it reads +0.43 at 500 paths, +0.09 at 2k and +0.03 at 10k
+    (0.9, 0.6 and 0.4 of that spread), where the returned SE is 0.46, 0.80
+    and 0.92 of the spread.  The returned SE is the regression residual's.
     """
     check_scalar(ParameterError, "T", T)
     check_scalar(ParameterError, "strike", strike)
 
     def batch(nb, sub):
         fwd, sigma, v_end, iv = _forward_and_sigma(model, T, cfg, nb, sub)
-        return bs_call_undiscounted(fwd, sigma, T, strike), v_end, iv
+        return (bs_call_undiscounted(fwd, sigma, T, strike), v_end, iv, v_end * v_end,
+                v_end * iv, iv * iv)
 
     est, se = _controlled_mean(*_batch_moments(n_paths, rng, batch), _control_means(model, T, cfg))
     disc = np.exp(-model.r * T)

@@ -374,12 +374,12 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
-    "bench_opt1": "a9d78ca5fca2baa1398769f9a3d37b995be5ec412fdce27bd18ba92476f94d58",
+    "bench_opt1": "8f1e526c712125c5a03ba8e6c496dbd61a96ea708832cad9a8816866a31b64e2",
     "bench_var3": "dd1e90475a179ccaa31d442b2fc96bd75a751598ec3ed8c20cb52820b4b45382",
-    "bench_grid4": "d20d413c9e0c1cf6e1dd413f0349f73df582ba645285a57c9f48cad5a469ca09",
-    "price_flags": "da6abb7c360b120f3590575e4a5bf6ba6b763cf342842f178b859b14986e8593",
-    "price_params": "f45b09b0736b9a89e7e539ef4d8a17a3e600823d19a3f79b1eee3cbe9f554a74",
-    "price_grid": "d992aaaddd31c647b701d2412696b40e14e91bc1ee682a448740facb4b8c6d03",
+    "bench_grid4": "982cfc916f1d6b8e43585352e1e084654009e857b980942039e843c0d8fb3c7c",
+    "price_flags": "f9d09bd67abab7565c0fa8066b6512f9929090bd11c3622a7e069164ba00b74f",
+    "price_params": "db15b9cda78d38e2daf98d1922446a17db0954215f8d4e12efdcae5ddcd27d18",
+    "price_grid": "f231d48cf5b94ad88fd3f9c8e493ef01b32af325ee862b1a3ef45a201a63e911",
     "varswap": "9a5956d4265cc9eedb973a4f6a6d2c7ed665ca0cd6c04a3f478109d7e2651ce0",
 }
 

@@ -3,7 +3,7 @@ import pytest
 
 from hestonsim.analytic import bs_call_undiscounted, price_european_exact, varswap_strike_discrete
 from hestonsim.distributions import sample_terminal_variance
-from hestonsim.errors import ConfigurationError, ParameterError, check_array
+from hestonsim.errors import ConfigurationError, ParameterError, check_array, check_scalar
 from hestonsim.harness import ExperimentSpec
 from hestonsim.model import (
     ModelParams,
@@ -40,6 +40,37 @@ def test_check_array_returns_float_array():
 def test_check_array_rejects_nonfinite_and_negative(x):
     with pytest.raises(ConfigurationError, match="^x must be finite and nonnegative$"):
         check_array(ConfigurationError, "x", x)
+
+
+def _outcome(call):
+    try:
+        return "ok", call().tolist()
+    except ParameterError as e:
+        return "raised", str(e)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("x", [0.5, 0.0, -0.0, -1e-300, np.nan, np.inf, -np.inf, 3, 0, True,
+                               np.float64(2.0), np.float64(np.nan)])
+def test_check_array_treats_a_scalar_as_a_one_element_array(x, positive):
+    # The scalar fast path keeps the array path's outcome and message.
+    scalar = _outcome(lambda: check_array(ParameterError, "x", x, positive=positive))
+    array = _outcome(lambda: check_array(ParameterError, "x", [x], positive=positive))
+    assert scalar[0] == array[0]
+    assert scalar[1] == (array[1][0] if array[0] == "ok" else array[1])
+
+
+@pytest.mark.parametrize("x", ["1.0", 1.0 + 0j, np.array([1.0, 2.0])],
+                         ids=["string", "complex", "shaped"])
+def test_check_scalar_refuses_what_is_not_a_real_scalar(x):
+    with pytest.raises(ConfigurationError, match="^x must be a (real number|scalar), got "):
+        check_scalar(ConfigurationError, "x", x)
+
+
+@pytest.mark.parametrize("x", [1.5, 2, True, np.float64(1.5), np.int64(2), np.array(1.5)],
+                         ids=lambda x: type(x).__name__)
+def test_check_scalar_accepts_real_scalars(x):
+    assert check_scalar(ParameterError, "x", x) is None
 
 
 def test_check_array_positive_rejects_zero():

@@ -653,12 +653,22 @@ _CONTROL_CONFIGS = [
 
 
 @pytest.mark.parametrize("case", ["I", "III"])
-@pytest.mark.parametrize("cfg", _CONTROL_CONFIGS, ids=lambda c: c.kind)
+@pytest.mark.parametrize("cfg", [
+    *_CONTROL_CONFIGS,
+    pytest.param(SchemeConfig("qem", n_steps=8, martingale_mode="price"), id="qem-8"),
+    pytest.param(SchemeConfig("pois_td", n_steps=8, martingale_mode="price"), id="pois_td-8"),
+], ids=lambda c: c.kind)
 def test_call_controls_have_the_closed_form_means(cfg, case):
-    # The call control adds no bias only if each kind reproduces these means.
+    # The call controls add no bias only if each kind reproduces these means:
+    # V_T, the integrated variance and their three products, as the driver's
+    # rows hold them.  At eight steps the qem quadratic forms and pois_td's
+    # dropped conditional variance run over many steps.
     p = CASE_PRESETS[case]
     v_end, iv, _ = simulate_terminal(p.model, p.maturity, cfg, 100_000, RngStream(85))
-    for x, mean in zip((v_end, iv), schemes._control_means(p.model, p.maturity, cfg)):
+    rows = (v_end, iv, v_end * v_end, v_end * iv, iv * iv)
+    means = schemes._control_means(p.model, p.maturity, cfg)
+    assert len(means) == len(rows)
+    for x, mean in zip(rows, means):
         se = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() - mean) <= 4.0 * se
 
@@ -679,7 +689,7 @@ def _call_uncontrolled(model, T, strike, cfg, n_paths, rng):
                          ids=lambda c: f"{c.kind}-{c.n_steps}")
 def test_call_control_shrinks_the_standard_error(cfg, case):
     # On the same draws the controlled SE is below the plain one (qem at one
-    # step keeps V_T alone: its integrated variance is affine in V_T).
+    # step keeps V_T and V_T^2: its integrated variance is affine in V_T).
     p = CASE_PRESETS[case]
     est, se = price_european_cmc(p.model, p.maturity, p.strike, cfg, 12_000, RngStream(86))
     ref, ref_se = _call_uncontrolled(p.model, p.maturity, p.strike, cfg, 12_000, RngStream(86))
@@ -687,12 +697,71 @@ def test_call_control_shrinks_the_standard_error(cfg, case):
     assert abs(est - ref) <= 3.0 * ref_se
 
 
-@pytest.mark.parametrize("case", ["III", "IV"])
+@pytest.mark.parametrize("case", ["I", "II", "III", "IV"])
 def test_controlled_call_matches_the_fourier_price(case):
     p = CASE_PRESETS[case]
     cfg = SchemeConfig("pois_ge", trunc_k=8)
     est, se = price_european_cmc(p.model, p.maturity, p.strike, cfg, 40_000, RngStream(87))
     assert abs(est - p.reference_price) <= 3.0 * se
+
+
+def _sweep_case(seed):
+    """A synthetic regression: n, row means, co-moments, control means, and the design."""
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((200, 3)) @ np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3],
+                                                 [0.0, 0.0, 1.0]]) + 2.0
+    y = 1.0 + x @ np.array([0.7, -1.2, 0.4]) + 0.3 * gen.standard_normal(200)
+    rows = np.vstack([y, x.T])
+    dev = rows - rows.mean(axis=1, keepdims=True)
+    return 200, rows.mean(axis=1), dev @ dev.T, (2.1, 1.9, 2.05), x, y
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_controlled_mean_matches_least_squares(seed):
+    # The sweep's estimate and residual are those of the least-squares fit of
+    # y on the centred controls.
+    n, mean, co, x_mean, x, y = _sweep_case(seed)
+    xc = x - x.mean(axis=0)
+    beta, (rss,), _, _ = np.linalg.lstsq(xc, y - y.mean(), rcond=None)
+    est, se = _controlled_mean(n, mean, co, x_mean)
+    assert est == pytest.approx(y.mean() - beta @ (x.mean(axis=0) - x_mean), rel=1e-13)
+    assert se == pytest.approx(np.sqrt(rss / (n - 1 - 3) / n), rel=1e-10)
+
+
+def test_controlled_mean_skips_a_collinear_control():
+    # A control that is a combination of those before it is skipped, so the
+    # fit equals the fit without it, bit for bit.
+    n, mean, co, x_mean, _, _ = _sweep_case(4)
+    # Row 4 is 2 x row 1 - row 3: its co-moments follow, and its mean too.
+    t = np.eye(4)
+    t = np.vstack([t, [0.0, 2.0, 0.0, -1.0]])
+    wide = t @ co @ t.T
+    wide_mean = t @ mean
+    wide_x = (*x_mean, 2.0 * x_mean[0] - x_mean[2])
+    assert _controlled_mean(n, wide_mean, wide, wide_x) == _controlled_mean(n, mean, co, x_mean)
+
+
+def test_qem_at_one_step_keeps_v_t_and_its_square(monkeypatch):
+    # One QE step has IV = h (v0 + V_T) / 2, so of the five controls only V_T
+    # and V_T^2 are not combinations of those before them.
+    seen = []
+    real = schemes._controlled_mean
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(schemes, "_controlled_mean", spy)
+    p = CASE_PRESETS["III"]
+    out = price_european_cmc(p.model, p.maturity, p.strike, SchemeConfig("qem"), 12_000,
+                             RngStream(86))
+    ((n, mean, co, x_mean),) = seen
+    keep = [0, 1, 3]
+    kept = real(n, mean[keep], co[np.ix_(keep, keep)], (x_mean[0], x_mean[2]))
+    assert kept == real(n, mean, co, x_mean)
+    assert kept != real(n, mean[:2], co[:2, :2], x_mean[:1])
+    disc = np.exp(-p.model.r * p.maturity)
+    assert out == (disc * kept[0], disc * kept[1])
 
 
 _FEW_PATH_DRIVERS = {
@@ -713,8 +782,8 @@ _FEW_PATH_DRIVERS = {
                  id="varswap-pois_td"),
 ])
 def test_controlled_call_with_few_paths_is_finite(driver, cfg, n_paths):
-    # Too few paths for both call controls fall back to fewer, never to an
-    # exact fit that would report an SE of 0.  The spot and the variance swap
+    # Too few paths for the call controls fall back to fewer (n - 2 at most),
+    # never to an exact fit that would report an SE of 0.  The spot and the variance swap
     # take the same finish with no control.
     p = CASE_PRESETS["III"]
     with warnings.catch_warnings():
@@ -802,13 +871,13 @@ def test_batch_moments_merges_each_row_of_a_block_alone(n_paths, pack):
 @pytest.mark.parametrize(
     "driver,cfg,expected",
     [
-        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.809848069185972, 0.017498960306711022)),
-        ("call", SchemeConfig("ge", trunc_k=2), (6.8356297765764635, 0.0177658985553376)),
-        ("call", SchemeConfig("ig", n_steps=2), (6.813145178415792, 0.017651393534084906)),
+        ("call", SchemeConfig("pois_ge", trunc_k=2), (6.802541614497275, 0.007450619637203064)),
+        ("call", SchemeConfig("ge", trunc_k=2), (6.8160855662630855, 0.0092099233842348)),
+        ("call", SchemeConfig("ig", n_steps=2), (6.801757655302501, 0.007620431591805045)),
         ("call", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
-         (6.808309199814721, 0.01733289760749365)),
+         (6.830121811534441, 0.007580556272861399)),
         ("call", SchemeConfig("pois_td", n_steps=4, martingale_mode="price"),
-         (6.650113331348277, 0.015341074377544303)),
+         (6.644874697455226, 0.006554879619256452)),
         ("varswap", SchemeConfig("qem", n_steps=4, martingale_mode="price"),
          (0.20839581846525201, 0.0005113286858477484)),
         ("varswap", SchemeConfig("pois_td", n_steps=4, martingale_mode="return_variance"),
