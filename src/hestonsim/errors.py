@@ -49,7 +49,8 @@ def check_array(error: type[HestonSimError], name: str, x, *, positive: bool = F
     finite and >= 0 (> 0 if ``positive``).
 
     One min and one max decide it: both propagate NaN, and an empty array
-    passes.  A Python or numpy float or int is its own min and max.
+    passes.  A Python float or int (numpy's float64 is a float) is its own
+    min and max.
     """
     if isinstance(x, (float, int)):
         lo = hi = float(x)

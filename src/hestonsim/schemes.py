@@ -454,11 +454,12 @@ def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[flo
     Every kind reproduces the CIR mean and variance of V at each grid date:
     all but ``qem`` draw the exact transition, and both QE branches match the
     first two conditional moments, which are affine in the start.  So under
-    ``qem`` the grid values have the CIR covariances, M_jk = m_j m_k +
+    ``qem`` the grid values have the CIR second moments, M_jk = m_j m_k +
     e^(-kappa |t_j - t_k|) Var V_min(j, k), and all three second moments are
-    quadratic forms of M in e_N and the trapezoid weights w.  ``ge``,
-    ``pois_ge`` and ``ig`` match the conditional mean and variance of each
-    step's integrated variance, so theirs are the exact process's: T^2 times
+    quadratic forms of M in e_N and the trapezoid weights w, summed in O(n)
+    time and memory.  ``ge``, ``pois_ge`` and ``ig`` match the conditional
+    mean and variance of each step's integrated variance, so theirs are the
+    exact process's: T^2 times
     the average variance's second moment, and E V_T E I plus the covariance
     of V_T with each V_s, e^(-kappa (T - s)) Var V_s, integrated over [0, T].
     ``pois_td`` takes each step's conditional mean given the Poisson count,
@@ -468,14 +469,18 @@ def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[flo
     h = T / n
     if cfg.kind == "qem":
         m, var = terminal_variance_moments(v0, h * np.arange(1, n + 1), model)
-        m, var = np.append(v0, m), np.append(0.0, var)
-        k = np.arange(n + 1)
-        gap = np.abs(k[:, None] - k)
-        cov = m[:, None] * m + np.exp(-kappa * h * gap) * var[np.minimum.outer(k, k)]
-        w = np.full(n + 1, h)
-        w[[0, -1]] *= 0.5
-        cov_w = cov @ w
-        return float(m[-1]), float(m @ w), float(cov[-1, -1]), float(cov_w[-1]), float(w @ cov_w)
+        m, var = [v0, *m.tolist()], [0.0, *var.tolist()]
+        w = [0.5 * h, *[h] * (n - 1), 0.5 * h]
+        iv = sum(wj * mj for wj, mj in zip(w, m))
+        # One backward pass: lag = e^(-kappa (T - t_j)) and tail = sum over k > j
+        # of w_k e^(-kappa (t_k - t_j)), so M is never formed; V_0 = v0 has no
+        # variance, so the pass stops at j = 1.
+        q, lag, tail, cov_end, cov_iv = math.exp(-kappa * h), 1.0, 0.0, 0.0, 0.0
+        for j in range(n, 0, -1):
+            cov_end += w[j] * lag * var[j]
+            cov_iv += w[j] * var[j] * (w[j] + 2.0 * tail)
+            lag, tail = lag * q, q * (w[j] + tail)
+        return m[n], iv, m[n] * m[n] + var[n], m[n] * iv + cov_end, iv * iv + cov_iv
     v_t, var_t = terminal_variance_moments(v0, T, model)
     a_mean, a_var = avg_variance_moments(model, T)
     v_t, iv = float(v_t), T * float(a_mean)
@@ -490,8 +495,9 @@ def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[flo
         c = series_coeffs(model, h)
         means = grid_variance_means(model, T, n)
         m_n, s = float(means[-1]), v0 + float(means.sum())
-        iv2 -= (c.var_x * (2.0 * s - v0 - m_n) + c.var_z * (
-            0.5 * n * model.delta + phi(kappa, h, model.xi) * math.exp(-0.5 * kappa * h) * (s - m_n)))
+        mu_rate = phi(kappa, h, model.xi) * math.exp(-0.5 * kappa * h)
+        iv2 -= (c.var_x * (2.0 * s - v0 - m_n)
+                + c.var_z * (0.5 * n * model.delta + mu_rate * (s - m_n)))
     return v_t, iv, float(var_t) + v_t * v_t, v_t * iv + cross, iv2
 
 

@@ -374,9 +374,9 @@ def test_jobs_env_zero_is_rejected_like_flag(monkeypatch, capsys):
 # at --paths 500 --reps 2.  They cover every way the CLI builds an experiment;
 # a mismatch means an estimate, a benchmark or a label changed.
 _PINNED_CSV = {
-    "bench_opt1": "8f1e526c712125c5a03ba8e6c496dbd61a96ea708832cad9a8816866a31b64e2",
+    "bench_opt1": "1701fbf9375a52ed2f30a7284c41e814ca774b9df7ec90063741a8dc3c189441",
     "bench_var3": "dd1e90475a179ccaa31d442b2fc96bd75a751598ec3ed8c20cb52820b4b45382",
-    "bench_grid4": "982cfc916f1d6b8e43585352e1e084654009e857b980942039e843c0d8fb3c7c",
+    "bench_grid4": "d16520a569af855ae507f884d6beb5fe652b5bf8c5a36361ddaef859e5cff4e3",
     "price_flags": "f9d09bd67abab7565c0fa8066b6512f9929090bd11c3622a7e069164ba00b74f",
     "price_params": "db15b9cda78d38e2daf98d1922446a17db0954215f8d4e12efdcae5ddcd27d18",
     "price_grid": "f231d48cf5b94ad88fd3f9c8e493ef01b32af325ee862b1a3ef45a201a63e911",

@@ -705,40 +705,21 @@ def test_controlled_call_matches_the_fourier_price(case):
     assert abs(est - p.reference_price) <= 3.0 * se
 
 
-def _sweep_case(seed):
-    """A synthetic regression: n, row means, co-moments, control means, and the design."""
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_controlled_mean_matches_least_squares(seed):
+    # On a synthetic regression the sweep's estimate and residual are those
+    # of the least-squares fit of y on the centred controls.
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((200, 3)) @ np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3],
                                                  [0.0, 0.0, 1.0]]) + 2.0
     y = 1.0 + x @ np.array([0.7, -1.2, 0.4]) + 0.3 * gen.standard_normal(200)
     rows = np.vstack([y, x.T])
     dev = rows - rows.mean(axis=1, keepdims=True)
-    return 200, rows.mean(axis=1), dev @ dev.T, (2.1, 1.9, 2.05), x, y
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_controlled_mean_matches_least_squares(seed):
-    # The sweep's estimate and residual are those of the least-squares fit of
-    # y on the centred controls.
-    n, mean, co, x_mean, x, y = _sweep_case(seed)
-    xc = x - x.mean(axis=0)
-    beta, (rss,), _, _ = np.linalg.lstsq(xc, y - y.mean(), rcond=None)
-    est, se = _controlled_mean(n, mean, co, x_mean)
+    x_mean = np.array([2.1, 1.9, 2.05])
+    beta, (rss,), _, _ = np.linalg.lstsq(dev[1:].T, dev[0], rcond=None)
+    est, se = _controlled_mean(200, rows.mean(axis=1), dev @ dev.T, tuple(x_mean))
     assert est == pytest.approx(y.mean() - beta @ (x.mean(axis=0) - x_mean), rel=1e-13)
-    assert se == pytest.approx(np.sqrt(rss / (n - 1 - 3) / n), rel=1e-10)
-
-
-def test_controlled_mean_skips_a_collinear_control():
-    # A control that is a combination of those before it is skipped, so the
-    # fit equals the fit without it, bit for bit.
-    n, mean, co, x_mean, _, _ = _sweep_case(4)
-    # Row 4 is 2 x row 1 - row 3: its co-moments follow, and its mean too.
-    t = np.eye(4)
-    t = np.vstack([t, [0.0, 2.0, 0.0, -1.0]])
-    wide = t @ co @ t.T
-    wide_mean = t @ mean
-    wide_x = (*x_mean, 2.0 * x_mean[0] - x_mean[2])
-    assert _controlled_mean(n, wide_mean, wide, wide_x) == _controlled_mean(n, mean, co, x_mean)
+    assert se == pytest.approx(np.sqrt(rss / (200 - 1 - 3) / 200), rel=1e-10)
 
 
 def test_qem_at_one_step_keeps_v_t_and_its_square(monkeypatch):
@@ -783,8 +764,8 @@ _FEW_PATH_DRIVERS = {
 ])
 def test_controlled_call_with_few_paths_is_finite(driver, cfg, n_paths):
     # Too few paths for the call controls fall back to fewer (n - 2 at most),
-    # never to an exact fit that would report an SE of 0.  The spot and the variance swap
-    # take the same finish with no control.
+    # never to an exact fit that would report an SE of 0.  The spot and the
+    # variance swap take the same finish with no control.
     p = CASE_PRESETS["III"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
