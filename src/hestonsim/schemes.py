@@ -459,9 +459,9 @@ def _control_means(model: ModelParams, T: float, cfg: SchemeConfig) -> tuple[flo
     quadratic forms of M in e_N and the trapezoid weights w, summed in O(n)
     time and memory.  ``ge``, ``pois_ge`` and ``ig`` match the conditional
     mean and variance of each step's integrated variance, so theirs are the
-    exact process's: T^2 times
-    the average variance's second moment, and E V_T E I plus the covariance
-    of V_T with each V_s, e^(-kappa (T - s)) Var V_s, integrated over [0, T].
+    exact process's: T^2 times the average variance's second moment, and
+    E V_T E I plus the covariance of V_T with each V_s, e^(-kappa (T - s))
+    Var V_s, integrated over [0, T].
     ``pois_td`` takes each step's conditional mean given the Poisson count,
     so its I^2 lacks the expected conditional variance of every step.
     """
